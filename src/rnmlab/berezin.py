@@ -14,8 +14,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .orthopoly import (OrthonormalBasis, QuadratureGrid, WeightedKernel,
-                        UnsupportedPotentialError, default_grid, radial_norms,
-                        weighted_kernel)
+                        UnsupportedPotentialError, _shifted_phase_sum,
+                        default_grid, radial_norms, weighted_kernel)
 from .potential import Potential, compute_droplet, make_ginibre
 
 
@@ -47,20 +47,13 @@ class BerezinKernel:
         """
         radii = np.asarray(radii, dtype=float)
         thetas = np.asarray(thetas, dtype=float)
-        b = self.kernel.basis
-        if b.mode != "radial":
+        kern = self.kernel
+        if kern.basis.mode != "radial":
             w = radii[:, None] * np.exp(1j * thetas)[None, :]
             return self.density(w)
-        from .orthopoly import _safe_log
-        pot = self.kernel.potential
-        k = np.arange(b.n)
-        r0 = abs(self.anchor)
+        k = np.arange(kern.n)
         th0 = np.angle(self.anchor) if self.anchor != 0 else 0.0
-        q0 = float(pot.evaluate(complex(self.anchor)))
-        qr = np.asarray(pot.evaluate(radii.astype(complex)), dtype=float)
-        logmag = (k[None, :] * (_safe_log(np.array(r0)) + _safe_log(radii))[:, None]
-                  - b.log_norms[None, :]
-                  - 0.5 * b.m * (q0 + qr)[:, None])
+        logmag = kern.log_modes(self.anchor) + kern.log_modes(radii)
         shift = np.max(logmag, axis=1)
         P = np.exp(logmag - shift[:, None])
         E = np.exp(1j * k[:, None] * (th0 - thetas)[None, :])
@@ -139,17 +132,11 @@ def conditional_basis(pot: Potential, n: int) -> OrthonormalBasis:
 
 def conditional_one_point(pot: Potential, n: int, z) -> np.ndarray:
     """One-point density of the conditioned (n-1)-point process,
-    sum_{k<=n-2} |z|^{2(k+1)} e^{-nQ} / h_{k+1}."""
-    cond = conditional_basis(pot, n)
-    z = np.asarray(z, dtype=complex)
-    with np.errstate(divide="ignore"):
-        lr2 = 2.0 * np.log(np.maximum(np.abs(z), 1e-300))
-    ks = np.arange(cond.n)
-    logmag = (ks[None, :] + 1.0) * lr2.ravel()[:, None] - cond.log_norms[None, :]
-    logmag -= float(cond.m) * np.asarray(pot.evaluate(z), dtype=float).ravel()[:, None]
-    top = np.max(logmag, axis=-1)
-    out = np.exp(top) * np.sum(np.exp(logmag - top[:, None]), axis=-1)
-    return out.reshape(z.shape)
+    sum_{k<=n-2} |z|^{2(k+1)} e^{-nQ} / h_{k+1}: modes 1..n-1 of the
+    n-point kernel."""
+    kern = weighted_kernel(pot, float(n), n)
+    L, s = _shifted_phase_sum(2.0 * kern.log_modes(z)[..., 1:])
+    return np.exp(L) * s
 
 
 def conditional_identity_check(pot: Potential, n: int,
@@ -201,15 +188,12 @@ def wavefunction_measure(pot: Potential, n: int,
     for radial fields, where the density is radial)."""
     if pot.radial_profile is None:
         raise UnsupportedPotentialError("wave-function profile needs a radial field")
-    basis = radial_norms(pot, float(n), n)
-    log_h_top = basis.log_norms[n - 1]
-    prof = pot.radial_profile
+    kern = weighted_kernel(pot, float(n), n)
     radius = compute_droplet(pot, 1.0).radius
 
     def density_r(r):
-        # radial density of the measure in r (already includes the 2r dA factor)
-        return np.exp((2 * n - 1) * np.log(r) - n * np.asarray(prof.q(r), dtype=float)
-                      - log_h_top + np.log(2.0))
+        # radial density of the measure in r (includes the 2r of dA)
+        return 2.0 * r * np.exp(2.0 * kern.log_modes(r)[n - 1])
 
     lo = max(radius - ring_halfwidth, 0.0)
     hi = radius + ring_halfwidth

@@ -16,9 +16,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .orthopoly import GridResolutionError, QuadratureGrid, WeightedKernel
+from .orthopoly import GridResolutionError, QuadratureGrid, WeightedKernel, leggauss
 
 ExactRational = Fraction
 
@@ -263,13 +262,8 @@ def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int,
     val = _value_fn(g)
     if kern.basis.mode == "radial" and _is_radial(g):
         r = grid.radial_nodes
-        wr = grid.radial_weights
-        b = kern.basis
-        ks = np.arange(b.n)
-        logs = (2.0 * ks[None, :] * np.log(r[:, None])
-                - b.log_norms[None, :]
-                - b.m * np.asarray(b.potential.evaluate(r.astype(complex)), dtype=float)[:, None])
-        T = np.exp(logs) * (2.0 * r * wr)[:, None]  # (radial node, mode)
+        # |psi_k(r)|^2 2r dr: (radial node, mode)
+        T = np.exp(2.0 * kern.log_modes(r)) * (2.0 * r * grid.radial_weights)[:, None]
         trace = float(np.sum(T))
         if abs(trace - kern.n) > 1e-4:
             raise GridResolutionError(
@@ -278,7 +272,7 @@ def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int,
         moments = {p: T.T @ gv**p for p in range(1, k + 1)}  # diagonal of A_p
         total = 0.0
         for term in composition_terms(k):
-            prod = np.ones(b.n)
+            prod = np.ones(kern.n)
             for p in term.parts:
                 prod = prod * moments[p]
             total += float(term.coefficient) * float(np.sum(prod))

@@ -120,7 +120,7 @@ def _norm_integrand_peak(profile, m, a):
     return r_peak, log_peak
 
 
-def _log_radial_integral(profile, m, a, scheme="adaptive", n_gauss=800):
+def _log_radial_integral(profile, m, a):
     """log of int_0^inf r^a e^{-m q(r)} dr, computed with a peak shift."""
     q = profile.q
     r_peak, log_peak = _norm_integrand_peak(profile, m, a)
@@ -134,15 +134,8 @@ def _log_radial_integral(profile, m, a, scheme="adaptive", n_gauss=800):
         if r_hi > 1e9:
             raise DivergentNormError("norm integrand tail does not decay")
 
-    if scheme == "adaptive":
-        val, _ = quad(lambda r: np.exp(ell(r) - log_peak), 0.0, r_hi,
-                      points=[r_peak], limit=200, epsabs=0.0, epsrel=1e-12)
-    elif scheme == "gauss":
-        x, w = leggauss(n_gauss)
-        r = 0.5 * r_hi * (x + 1.0)
-        val = np.sum(0.5 * r_hi * w * np.exp(ell(r) - log_peak))
-    else:
-        raise ValueError(f"unknown quadrature scheme {scheme!r}")
+    val, _ = quad(lambda r: np.exp(ell(r) - log_peak), 0.0, r_hi,
+                  points=[r_peak], limit=200, epsabs=0.0, epsrel=1e-12)
     return log_peak + np.log(val)
 
 
@@ -169,7 +162,7 @@ class OrthonormalBasis:
         return np.exp(self.log_norms)
 
 
-def radial_norms(pot: Potential, m: float, n: int, scheme: str = "adaptive") -> OrthonormalBasis:
+def radial_norms(pot: Potential, m: float, n: int) -> OrthonormalBasis:
     """Squared monomial norms h_k = int r^{2k} e^{-m q(r)} 2r dr, k < n.
 
     The quadrature window is chosen per k so the discarded tail is below
@@ -182,7 +175,7 @@ def radial_norms(pot: Potential, m: float, n: int, scheme: str = "adaptive") -> 
     logs = np.empty(n)
     for k in range(n):
         try:
-            logs[k] = np.log(2.0) + _log_radial_integral(prof, m, 2 * k + 1, scheme=scheme)
+            logs[k] = np.log(2.0) + _log_radial_integral(prof, m, 2 * k + 1)
         except DivergentNormError as exc:
             raise DivergentNormError(
                 f"h_{k} diverges for m={m}, n={n}: need m/n > 1/rho "
@@ -240,12 +233,16 @@ def orthonormality_residual(basis: OrthonormalBasis, grid: QuadratureGrid) -> fl
 # weighted kernel
 
 
-def _shifted_phase_sum(logmag, phase, axis=-1):
-    """(L, s) with sum exp(logmag + i*phase) = exp(L) * s, L the running max."""
+def _shifted_phase_sum(logmag, phase=None, axis=-1):
+    """(L, s) with sum exp(logmag + i*phase) = exp(L) * s, L the running max;
+    without a phase the sum is real."""
     L = np.max(logmag, axis=axis, keepdims=True)
     L = np.where(np.isfinite(L), L, 0.0)
-    s = np.sum(np.exp(logmag - L) * np.exp(1j * phase), axis=axis)
-    return np.squeeze(L, axis=axis), s
+    terms = np.subtract(logmag, L)
+    np.exp(terms, out=terms)
+    if phase is not None:
+        terms = terms * np.exp(1j * phase)
+    return np.squeeze(L, axis=axis), np.sum(terms, axis=axis)
 
 
 _CHUNK = 1 << 22  # cap on batch * n intermediate entries
@@ -275,6 +272,34 @@ class WeightedKernel:
     def n(self) -> int:
         return self.basis.n
 
+    # -- radial modes ---------------------------------------------------------
+
+    def log_modes(self, z):
+        """log|psi_k(z)| = k log|z| - (1/2) log h_k - (m/2) Q(z) for a radial
+        basis, shape z.shape + (n,); psi_k(z) = z^k e^{-mQ(z)/2} / sqrt(h_k)."""
+        b = self.basis
+        if b.mode != "radial":
+            raise ValueError("log_modes needs a radial basis")
+        z = np.asarray(z, dtype=complex)
+        k = np.arange(b.n)
+        lr = np.asarray(_safe_log(np.abs(z)))
+        halfq = 0.5 * b.m * np.asarray(b.potential.evaluate(z), dtype=float)
+        out = k * lr[..., None]  # in place from here: the same rounding, fewer temporaries
+        out -= 0.5 * b.log_norms
+        out -= halfq[..., None]
+        return out
+
+    def _by_rows(self, fn, dtype, *args, width=()):
+        """fn over the broadcast, flattened args in blocks of at most
+        _CHUNK / n points; shape broadcast shape + width."""
+        args = np.broadcast_arrays(*(np.asarray(a, dtype=complex) for a in args))
+        flats = [a.ravel() for a in args]
+        out = np.empty((flats[0].size,) + width, dtype=dtype)
+        step = max(1, _CHUNK // max(self.n, 1))
+        for lo in range(0, out.shape[0], step):
+            out[lo:lo + step] = fn(*(f[lo:lo + step] for f in flats))
+        return out.reshape(args[0].shape + width)
+
     # -- feature vectors ----------------------------------------------------
 
     def features(self, z):
@@ -282,23 +307,13 @@ class WeightedKernel:
 
         The squared row norm is R1(z) and K_w(z, w) = <psi(z), psi(w)>.
         """
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        out = np.empty(flat.shape + (self.n,), dtype=complex)
-        step = max(1, _CHUNK // max(self.n, 1))
-        for lo in range(0, flat.size, step):
-            out[lo:lo + step] = self._features_chunk(flat[lo:lo + step])
-        return out.reshape(z.shape + (self.n,))
+        return self._by_rows(self._features_chunk, complex, z, width=(self.n,))
 
     def _features_chunk(self, z):
         b = self.basis
         if b.mode == "radial":
             k = np.arange(b.n)
-            lr = _safe_log(np.abs(z))
-            halfq = 0.5 * b.m * np.asarray(b.potential.evaluate(z), dtype=float)
-            logmag = k * lr[:, None] - 0.5 * b.log_norms[None, :] - halfq[:, None]
-            ang = np.angle(z)
-            return np.exp(logmag) * np.exp(1j * k * ang[:, None])
+            return np.exp(self.log_modes(z)) * np.exp(1j * k * np.angle(z)[:, None])
         V = z[:, None] ** np.arange(b.n)[None, :]
         phi = V @ b.coeffs.T
         return phi * np.exp(-0.5 * b.m * np.asarray(b.potential.evaluate(z), dtype=float))[:, None]
@@ -307,45 +322,38 @@ class WeightedKernel:
 
     def log_weighted(self, z, w):
         """(log|.|, arg) of the weighted kernel; safe at any magnitude."""
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        z, w = np.broadcast_arrays(z, w)
-        b = self.basis
-        if b.mode == "radial":
-            flatz, flatw = z.ravel(), w.ravel()
-            k = np.arange(b.n)
-            lrr = _safe_log(np.abs(flatz)) + _safe_log(np.abs(flatw))
-            ang = np.angle(flatz) - np.angle(flatw)
-            logmag = k * lrr[:, None] - b.log_norms[None, :]
-            L, s = _shifted_phase_sum(logmag, k * ang[:, None])
-            halfq = 0.5 * b.m * (np.asarray(b.potential.evaluate(flatz), dtype=float)
-                                 + np.asarray(b.potential.evaluate(flatw), dtype=float))
-            with np.errstate(divide="ignore"):
-                logabs = L - halfq + np.log(np.abs(s))
-            return logabs.reshape(z.shape), np.angle(s).reshape(z.shape)
+        if self.basis.mode == "radial":
+            out = self._by_rows(self._log_weighted_chunk, complex, z, w)
+            return out.real, out.imag
+        z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
         val = np.sum(self.features(z) * np.conj(self.features(w)), axis=-1)
         with np.errstate(divide="ignore"):
             return np.log(np.abs(val)), np.angle(val)
+
+    def _log_weighted_chunk(self, z, w):
+        phase = np.arange(self.n) * (np.angle(z) - np.angle(w))[:, None]
+        logmag = self.log_modes(z)
+        logmag += self.log_modes(w)
+        L, s = _shifted_phase_sum(logmag, phase)
+        with np.errstate(divide="ignore"):
+            return L + np.log(s)
 
     def weighted(self, z, w):
         logabs, phase = self.log_weighted(z, w)
         return np.exp(logabs) * np.exp(1j * phase)
 
     def log_one_point(self, z):
-        z = np.asarray(z, dtype=complex)
-        b = self.basis
-        if b.mode == "radial":
-            flat = z.ravel()
-            k = np.arange(b.n)
-            lr2 = 2.0 * _safe_log(np.abs(flat))
-            logmag = k * lr2[:, None] - b.log_norms[None, :]
-            L = np.max(logmag, axis=-1)
-            tot = L + np.log(np.sum(np.exp(logmag - L[:, None]), axis=-1))
-            tot -= b.m * np.asarray(b.potential.evaluate(flat), dtype=float)
-            return tot.reshape(z.shape)
+        if self.basis.mode == "radial":
+            return self._by_rows(self._log_one_point_chunk, float, z)
         feats = self.features(z)
         with np.errstate(divide="ignore"):
             return np.log(np.sum(np.abs(feats) ** 2, axis=-1))
+
+    def _log_one_point_chunk(self, z):
+        logmag = self.log_modes(z)
+        logmag *= 2.0
+        L, s = _shifted_phase_sum(logmag)
+        return L + np.log(s)
 
     def one_point(self, z):
         """R1(z) >= 0; tiny negative round-off is clamped, anything worse raises."""
@@ -361,11 +369,10 @@ class WeightedKernel:
 
 
 def weighted_kernel(pot: Potential, m: float, n: int,
-                    grid: Optional[QuadratureGrid] = None,
-                    scheme: str = "adaptive") -> WeightedKernel:
+                    grid: Optional[QuadratureGrid] = None) -> WeightedKernel:
     """Kernel via radial norms when a profile exists, else grid Gram-Schmidt."""
     if pot.radial_profile is not None:
-        return WeightedKernel(radial_norms(pot, m, n, scheme=scheme), pot)
+        return WeightedKernel(radial_norms(pot, m, n), pot)
     if grid is None:
         raise UnsupportedPotentialError("general-Q kernel needs an explicit grid")
     return WeightedKernel(gram_schmidt_basis(pot, m, n, grid), pot)

@@ -76,7 +76,9 @@ class Potential:
             fm = log_lap(rr - hh)
             d2 = (fp - 2.0 * f0 + fm) / hh**2
             d1 = (fp - fm) / (2.0 * hh)
-            return 0.25 * (d2 + d1 / rr)
+            # f'(r)/r -> f''(0) at the origin, where f is even in r
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return 0.25 * (d2 + np.where(rr > 0, d1 / rr, d2))
 
         coarse = quarter_lap_radial(r, h)
         fine = quarter_lap_radial(r, 0.5 * h)

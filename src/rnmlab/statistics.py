@@ -19,7 +19,7 @@ import numpy as np
 
 from .potential import Droplet, Potential
 from .sampler import PointConfiguration, sample_dpp, sample_ginibre_matrix, SamplerConfig
-from .orthopoly import leggauss, weighted_kernel, UnsupportedPotentialError
+from .orthopoly import QuadratureGrid, weighted_kernel, UnsupportedPotentialError
 
 
 class SupportError(ValueError):
@@ -151,13 +151,8 @@ def re_coordinate(taper_start: float = 2.0, taper_end: float = 3.0) -> TestFunct
 
 
 def _disk_rule(center: complex, radius: float, n_radial: int = 400, n_theta: int = 256):
-    x, w = leggauss(n_radial)
-    r = 0.5 * radius * (x + 1.0)
-    wr = 0.5 * radius * w
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    z = center + r[:, None] * np.exp(1j * theta)[None, :]
-    wa = np.broadcast_to((2.0 / n_theta) * (wr * r)[:, None], z.shape)
-    return z.ravel(), wa.ravel()
+    grid = QuadratureGrid.disk(radius, n_radial=n_radial, n_theta=n_theta)
+    return center + grid.nodes, grid.weights
 
 
 def gradient_pair_integral(f: TestFunction, g: TestFunction,
@@ -196,7 +191,7 @@ def covariance_prediction(f: TestFunction, g: TestFunction, **kw) -> float:
     return 0.25 * gradient_pair_integral(f, g, **kw)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def equilibrium_integral(g: TestFunction, drop: Droplet) -> float:
     """int g d(sigma_tau), cached per (statistic, droplet)."""
     z, w = _disk_rule(0.0, drop.radius)
@@ -205,7 +200,7 @@ def equilibrium_integral(g: TestFunction, drop: Droplet) -> float:
     return float(np.sum(w * vals * dens))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def mean_prediction(g: TestFunction, drop: Droplet) -> float:
     """Limiting fluctuation mean: the correction-measure integral of g."""
     z, w = _disk_rule(0.0, drop.radius)

@@ -163,6 +163,33 @@ def test_kernel_subcommand_with_gnuplot(tmp_path):
     assert (out / "kernel.gp").exists()
 
 
+def test_kernel_subcommand_custom_field_has_no_nan(tmp_path):
+    r = np.linspace(0.0, 6.0, 600)
+    table = np.column_stack([r, r**2 / 2 + r**4 / 4, r + r**3, 1.0 + 3.0 * r**2])
+    prof = tmp_path / "profile.csv"
+    np.savetxt(prof, table, delimiter=",", header="r,q,dq,d2q", comments="")
+    cfg = write_config(tmp_path, f"potential.family = custom\n"
+                                 f"potential.profile_file = {prof}\nn = 32\n")
+    out = tmp_path / "out"
+    run(["kernel", "--config", str(cfg), "--out", str(out)])
+    rows = np.loadtxt(out / "kernel_diagonal.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (44, 5)
+    assert np.all(np.isfinite(rows))
+
+
+def test_kernel_nan_residual_fails_check(tmp_path, monkeypatch):
+    from rnmlab.potential import Potential
+    monkeypatch.setattr(Potential, "subleading_density",
+                        lambda self, z, step=None: np.nan)
+    cfg = write_config(tmp_path, "n = 16\n")
+    out = tmp_path / "out"
+    assert run(["kernel", "--config", str(cfg), "--out", str(out)]) == 1
+    summary = json.loads((out / "kernel_summary.json").read_text())
+    check = next(c for c in summary["checks"]
+                 if c["name"] == "diagonal_expansion_sup_residual")
+    assert check["pass"] is False
+
+
 def test_cumulants_subcommand(tmp_path):
     cfg = write_config(tmp_path, "n_list = 16, 32\ncumulants.k_max = 3\n")
     out = tmp_path / "out"

@@ -41,18 +41,15 @@ def test_ginibre_norms_match_gamma():
     assert basis2.norms[0] == pytest.approx(0.5, rel=1e-12)
 
 
-def test_gamma_oracle_many_orders():
+@pytest.mark.parametrize("p", [1, 2])
+def test_gamma_oracle_many_orders(p):
+    # Q = |z|^{2p}: log h_k = lgamma((k+1)/p) - log p - ((k+1)/p) log m
     m, n = 8.0, 24
-    basis = radial_norms(make_ginibre(), m, n)
-    exact = np.array([math.lgamma(k + 1) - (k + 1) * math.log(m) for k in range(n)])
+    pot = make_ginibre() if p == 1 else make_radial_power(p)
+    basis = radial_norms(pot, m, n)
+    exact = np.array([math.lgamma((k + 1) / p) - math.log(p) - (k + 1) / p * math.log(m)
+                      for k in range(n)])
     assert np.allclose(basis.log_norms, exact, atol=1e-12)
-
-
-def test_quartic_norm_dual_quadrature():
-    pot = make_radial_power(2)
-    a = radial_norms(pot, 4.0, 6, scheme="adaptive")
-    g = radial_norms(pot, 4.0, 6, scheme="gauss")
-    assert np.max(np.abs(np.exp(a.log_norms) - np.exp(g.log_norms))) < 1e-10
 
 
 def test_divergent_norm_raises():

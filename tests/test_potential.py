@@ -42,6 +42,21 @@ def test_custom_radial_quartic_laplacian():
     assert pot.laplacian(1.0) == pytest.approx(2.0)
 
 
+def test_custom_subleading_at_origin():
+    # q = r^2/2 + r^4/4: quarter-Laplacian 1/2 + r^2, and the subleading
+    # density (1/2) lap log lap Q / 4 is 1 / (4 (1/2 + r^2)^2), finite at 0
+    pot = make_custom_radial(
+        q=lambda r: np.asarray(r) ** 2 / 2.0 + np.asarray(r) ** 4 / 4.0,
+        dq=lambda r: np.asarray(r) + np.asarray(r) ** 3,
+        d2q=lambda r: 1.0 + 3.0 * np.asarray(r) ** 2,
+        growth_exponent=10.0,
+    )
+    r = np.array([0.0, 1e-3, 0.1])
+    exact = 1.0 / (4.0 * (0.5 + r**2) ** 2)
+    assert np.allclose(pot.subleading_density(r.astype(complex)), exact, rtol=1e-7)
+    assert pot.subleading_density(0.0) == pytest.approx(1.0, rel=1e-7)
+
+
 def test_custom_radial_matches_ginibre():
     pot = make_custom_radial(
         q=lambda r: np.asarray(r) ** 2,

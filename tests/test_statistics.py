@@ -120,6 +120,17 @@ def test_fluct_linearity(ginibre_droplet, matrix_bank_n16):
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+def test_prediction_caches_stay_bounded(ginibre):
+    # droplets hash by identity, so every fresh droplet is a new cache key
+    g = bump(0.0, 0.5)
+    for fn in (equilibrium_integral, mean_prediction):
+        fn.cache_clear()
+        maxsize = fn.cache_info().maxsize
+        for _ in range(maxsize + 4):
+            fn(g, compute_droplet(ginibre, 1.0))
+        assert fn.cache_info().currsize <= maxsize
+
+
 # ---------------------------------------------------------------------------
 # CLT report
 
