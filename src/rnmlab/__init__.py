@@ -39,7 +39,6 @@ from .orthopoly import (
 from .sampler import (
     PointConfiguration,
     SamplerConfig,
-    EnvelopeError,
     stream_rng,
     sample_dpp,
     sample_ginibre_matrix,

@@ -133,8 +133,10 @@ def conditional_basis(pot: Potential, n: int) -> OrthonormalBasis:
 def conditional_one_point(pot: Potential, n: int, z) -> np.ndarray:
     """One-point density of the conditioned (n-1)-point process,
     sum_{k<=n-2} |z|^{2(k+1)} e^{-nQ} / h_{k+1}: modes 1..n-1 of the
-    n-point kernel."""
+    n-point kernel.  At n = 1 the pinned process is empty and the density 0."""
     kern = weighted_kernel(pot, float(n), n)
+    if n == 1:
+        return np.zeros(np.shape(z))
     L, s = _shifted_phase_sum(2.0 * kern.log_modes(z)[..., 1:])
     return np.exp(L) * s
 

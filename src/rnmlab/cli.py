@@ -5,7 +5,8 @@ Config files are flat ``key = value`` text with dotted section names
 (``sampler.thin_stride = 20``); see the README for the schema.  Every check a
 subcommand performs is emitted with its prediction and tolerance, and the
 process exits 0 only if all enabled checks pass (1 on check failure, 2 on
-configuration errors).  Identical config + seed gives byte-identical outputs.
+configuration errors, 3 on numerical failures: rank loss, an unresolved grid or
+a floating-point error).  Identical config + seed gives byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import numpy as np
 from . import berezin as bz
 from . import cumulants as cu
 from . import statistics as st
-from .orthopoly import (default_grid, fit_decay_rate,
-                        offdiagonal_decay_profile, weighted_kernel)
+from .orthopoly import (GridResolutionError, RankLossError, default_grid,
+                        fit_decay_rate, offdiagonal_decay_profile,
+                        weighted_kernel)
 from .potential import compute_droplet, make_custom_radial, make_ginibre, make_radial_power
 from .sampler import (SamplerConfig, collect_mcmc, sample_dpp,
                       sample_ginibre_matrix, stream_rng)
@@ -129,7 +131,6 @@ def sampler_config(cfg: dict, seed: int) -> SamplerConfig:
         burn_in_sweeps=int(cfg_get(cfg, "sampler.burn_in_sweeps", 2000)),
         thin_stride=int(cfg_get(cfg, "sampler.thin_stride", 20)),
         proposal_scale=float(cfg_get(cfg, "sampler.proposal_scale", 1.0)),
-        rejection_envelope_margin=float(cfg_get(cfg, "sampler.envelope_margin", 1.2)),
     )
 
 
@@ -477,9 +478,9 @@ def run(argv=None) -> int:
         cfg = parse_config(args.config) if args.config else {}
         rep = Reporter(args.out, args.subcommand, args.gnuplot)
         return COMMANDS[args.subcommand](cfg, args, rep)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    except (RankLossError, GridResolutionError, FloatingPointError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

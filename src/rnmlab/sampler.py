@@ -1,7 +1,9 @@
 """Three routes to eigenvalue configurations of the planar ensemble: exact
-sequential sampling of the determinantal projection process, eigenvalues of a
-complex Gaussian matrix (the |z|^2 field at m = n), and single-particle
-Metropolis sweeps for general radial fields.
+sequential sampling of the determinantal projection process of a radial field
+(the Hough-Krishnapur-Peres-Virag chain with proposals from R1/n and the
+exact projection-residual acceptance), eigenvalues of a complex Gaussian
+matrix (the |z|^2 field at m = n), and single-particle Metropolis sweeps for
+general radial fields.
 
 Reproducibility contract: a configuration is fully determined by
 (master_seed, chain_index); per-chain generators come from
@@ -16,12 +18,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .orthopoly import QuadratureGrid, WeightedKernel, default_grid
+from .orthopoly import WeightedKernel
 from .potential import Potential, compute_droplet
-
-
-class EnvelopeError(RuntimeError):
-    """Rejection envelope kept being violated after repeated re-estimation."""
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,6 @@ class SamplerConfig:
     burn_in_sweeps: int = 2000
     thin_stride: int = 20
     proposal_scale: float = 1.0
-    rejection_envelope_margin: float = 1.2
 
     def __post_init__(self):
         if self.burn_in_sweeps < 0:
@@ -42,8 +39,6 @@ class SamplerConfig:
             raise ValueError("thin_stride must be >= 1")
         if self.proposal_scale <= 0:
             raise ValueError("proposal_scale must be > 0")
-        if self.rejection_envelope_margin <= 1.0:
-            raise ValueError("rejection_envelope_margin must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -66,11 +61,7 @@ def stream_rng(master_seed: int, chain_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _soft_radius_check(points: np.ndarray, pot: Potential, m: float, n: int,
-                       meta: dict) -> None:
-    if pot.radial_profile is None:
-        return
-    radius = compute_droplet(pot, n / m).radius
+def _soft_radius_check(points: np.ndarray, radius: float, meta: dict) -> None:
     peak = float(np.max(np.abs(points)))
     if peak > 2.0 * radius:
         meta["radius_warning"] = peak
@@ -83,80 +74,51 @@ def _soft_radius_check(points: np.ndarray, pot: Potential, m: float, n: int,
 
 
 def sample_dpp(kern: WeightedKernel, cfg: SamplerConfig,
-               rng: np.random.Generator,
-               grid: Optional[QuadratureGrid] = None,
-               max_restarts: int = 10,
-               batch: int = 256) -> PointConfiguration:
-    """Exact draw from the rank-n projection process.
+               rng: np.random.Generator) -> PointConfiguration:
+    """Exact draw from the rank-n projection process of a radial kernel.
 
-    Sequential conditional sampling: each point is drawn from the current
-    conditional intensity by rejection against a uniform envelope on a disk,
-    then the kernel is contracted by Gram-Schmidt on the accepted feature
-    vector.  An envelope violation triggers re-estimation and a restart of
-    the whole configuration (counted in the metadata).
+    Hough-Krishnapur-Peres-Virag chain: proposals are iid from R1/n (radius
+    from ``kern.radial_law``, uniform angle), and at step i a proposal z is
+    accepted with probability ||P psi(z)||^2 / ||psi(z)||^2, P the projection
+    away from the features of the i points accepted so far.  The accepted
+    density is then ||P psi(z)||^2 / (n - i), the exact conditional
+    intensity, so there is no envelope to estimate; the expected number of
+    proposals is n H_n.  The accepted feature vector joins the basis by
+    Gram-Schmidt.  A kernel without a radial basis raises
+    UnsupportedPotentialError.
     """
+    law = kern.radial_law
     n = kern.n
-    pot = kern.potential
-    if grid is None:
-        grid = default_grid(pot, kern.m, n, n_radial=160,
-                            n_theta=max(64, 2 * n))
-    Fg = kern.features(grid.nodes)
-    dens_grid0 = np.sum(np.abs(Fg) ** 2, axis=-1).real
-
-    # proposal disk: smallest grid radius whose one-point tail is negligible
-    r_profile = kern.one_point(grid.radial_nodes.astype(complex))
-    keep = r_profile > 1e-10 * r_profile.max()
-    r_env = float(grid.radial_nodes[keep][-1]) * 1.05 if np.any(keep) else grid.r_cut
-    envelope_scale = cfg.rejection_envelope_margin
-
-    restarts = 0
-    trials = 0
-    while True:
-        basis = np.zeros((0, n), dtype=complex)
-        dens_grid = dens_grid0.copy()
-        points = np.empty(n, dtype=complex)
-        violated = False
-        for i in range(n):
-            env = envelope_scale * float(dens_grid.max())
-            while True:
-                trials += batch
-                zb = r_env * np.sqrt(rng.random(batch)) * np.exp(2j * np.pi * rng.random(batch))
-                fb = kern.features(zb)
-                dens = np.sum(np.abs(fb) ** 2, axis=-1).real
-                if basis.shape[0]:
-                    proj = fb @ basis.conj().T
-                    dens = dens - np.sum(np.abs(proj) ** 2, axis=-1).real
-                over = dens > env
-                if np.any(over):
-                    envelope_scale = cfg.rejection_envelope_margin * \
-                        float(dens[over].max()) / max(float(dens_grid.max()), 1e-300)
-                    violated = True
-                    break
-                hit = np.nonzero(rng.random(batch) * env < dens)[0]
-                if hit.size:
-                    j = int(hit[0])
-                    v = fb[j]
-                    if basis.shape[0]:
-                        v = v - (basis.conj() @ v) @ basis
-                    nv = np.linalg.norm(v)
-                    points[i] = zb[j]
-                    basis = np.vstack([basis, v / nv])
-                    dens_grid = dens_grid - np.abs(Fg @ np.conj(basis[-1])) ** 2
-                    np.clip(dens_grid, 0.0, None, out=dens_grid)
-                    break
-            if violated:
+    pool = int(np.ceil(2 * n * np.log(n + 1)))
+    basis = np.zeros((n, n), dtype=complex)
+    points = np.empty(n, dtype=complex)
+    i = used = 0
+    while i < n:
+        u = rng.random((3, pool))
+        z = law.quantile(u[0]) * np.exp(2j * np.pi * u[1])
+        feats = kern.features(z)
+        norm2 = np.sum(np.abs(feats) ** 2, axis=-1)
+        resid = norm2 - np.sum(np.abs(feats @ basis[:i].conj().T) ** 2, axis=-1)
+        bound = u[2] * norm2
+        j = 0
+        while i < n:
+            hit = np.flatnonzero(bound[j:] < resid[j:])
+            if not hit.size:
+                j = pool
                 break
-        if not violated:
-            break
-        restarts += 1
-        if restarts > max_restarts:
-            raise EnvelopeError(f"envelope re-estimated {restarts} times; giving up")
+            j += int(hit[0])
+            v = feats[j] - (basis[:i].conj() @ feats[j]) @ basis[:i]
+            basis[i] = v / np.linalg.norm(v)
+            points[i] = z[j]
+            resid -= np.abs(feats @ basis[i].conj()) ** 2
+            i += 1
+            j += 1
+        used += j
 
-    meta = {"sampler": "dpp", "potential": pot.name, "m": kern.m, "n": n,
-            "master_seed": cfg.master_seed, "restarts": restarts,
-            "proposals": trials}
+    meta = {"sampler": "dpp", "potential": kern.potential.name, "m": kern.m, "n": n,
+            "master_seed": cfg.master_seed, "restarts": 0, "proposals": used}
     out = PointConfiguration(points=points, meta=meta)
-    _soft_radius_check(points, pot, kern.m, n, meta)
+    _soft_radius_check(points, law.droplet_radius, meta)
     return out
 
 
@@ -262,7 +224,7 @@ def sample_mcmc(pot: Potential, m: float, n: int, cfg: SamplerConfig,
                               "[0.1, 0.7]", RuntimeWarning)
                 warned = True
         out = PointConfiguration(points=points.copy(), meta=meta)
-        _soft_radius_check(points, pot, m, n, meta)
+        _soft_radius_check(points, radius, meta)
         yield out
 
 

@@ -132,6 +132,16 @@ def test_conditional_minimal_case(pot):
     assert np.allclose(lhs, rhs, rtol=1e-10)
 
 
+def test_conditional_single_point_is_empty(pot):
+    # n = 1: pinning the only point at 0 leaves no points, so the conditioned
+    # density is 0 and R1_1 is the Berezin density itself
+    z = np.array([[0.0, 0.4], [1.1j, 2.5]], dtype=complex)
+    out = conditional_one_point(pot, 1, z)
+    assert out.shape == z.shape
+    assert np.all(out == 0.0)
+    assert conditional_identity_check(pot, 1) <= 1e-12
+
+
 def test_conditional_origin_density_closed_form(pot):
     # B^{<0>}(z) = e^{-nQ(z)} / h_0 for radial fields
     n = 12

@@ -5,6 +5,7 @@ import pytest
 
 from rnmlab.cli import (ConfigError, build_potential, cfg_get, parse_config,
                         run)
+from rnmlab.orthopoly import DivergentNormError, GridResolutionError, RankLossError
 
 
 def write_config(tmp_path, text):
@@ -98,6 +99,17 @@ def test_sample_csv_output(tmp_path):
     assert meta["n"] == 4
 
 
+def test_sample_dpp_ignores_envelope_margin(tmp_path):
+    # the exact sampler has no envelope; the old key is ignored like any other
+    cfg = write_config(tmp_path, "n = 4\nsamples = 3\nsampler.kind = dpp\n"
+                                 "sampler.envelope_margin = 0.5\n")
+    out = tmp_path / "out"
+    assert run(["sample", "--config", str(cfg), "--seed", "9",
+                "--out", str(out)]) == 0
+    rows = (out / "configurations.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3 * 4
+
+
 def test_sample_jsonl_output(tmp_path):
     cfg = write_config(tmp_path,
                        "n = 3\nsamples = 2\noutput.format = jsonl\nseed = 4\n")
@@ -188,6 +200,21 @@ def test_kernel_nan_residual_fails_check(tmp_path, monkeypatch):
     check = next(c for c in summary["checks"]
                  if c["name"] == "diagonal_expansion_sup_residual")
     assert check["pass"] is False
+
+
+@pytest.mark.parametrize("error, code, label", [
+    (RankLossError("pivot collapsed"), 3, "numerical failure"),
+    (GridResolutionError("grid too coarse"), 3, "numerical failure"),
+    (FloatingPointError("density came out negative"), 3, "numerical failure"),
+    (DivergentNormError("norm diverges"), 2, "configuration error"),
+])
+def test_error_exit_codes(tmp_path, monkeypatch, capsys, error, code, label):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr("rnmlab.cli.weighted_kernel", fail)
+    cfg = write_config(tmp_path, "n = 16\n")
+    assert run(["kernel", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.startswith(f"{label}: {error}")
 
 
 def test_cumulants_subcommand(tmp_path):

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy.stats import chisquare, ks_2samp
+from scipy.interpolate import CubicSpline
+from scipy.stats import chisquare, gamma, ks_2samp
 
-from rnmlab.orthopoly import radial_norms, weighted_kernel
-from rnmlab.potential import make_ginibre, make_radial_power
+from rnmlab.orthopoly import (GridResolutionError, UnsupportedPotentialError,
+                              WeightedKernel, default_grid, gram_schmidt_basis,
+                              radial_norms, weighted_kernel)
+from rnmlab.potential import make_custom_radial, make_ginibre, make_radial_power
 from rnmlab.sampler import (SamplerConfig, collect_mcmc, mcmc_log_ratio,
                             sample_dpp, sample_ginibre_matrix, sample_mcmc,
                             stream_rng)
@@ -71,6 +76,64 @@ def test_dpp_sample_size_and_finiteness(dpp_bank_n16):
         assert len(c.points) == 16
         assert np.all(np.isfinite(c.points.view(float)))
         assert c.meta["sampler"] == "dpp"
+        assert c.meta["restarts"] == 0
+        assert c.meta["proposals"] >= 16
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_radial_law_matches_kostlan_mixture(p):
+    # mode k of the power-p field puts m|z|^(2p) ~ Gamma((k+1)/p) (Kostlan's
+    # law at p = 1), so the proposal law R1/n is the uniform mixture over k
+    n, m = 16, 16.0
+    law = weighted_kernel(make_radial_power(p), m, n).radial_law
+    t = m * law.edges ** (2 * p)
+    exact = np.mean([gamma.cdf(t, (k + 1) / p) for k in range(n)], axis=0)
+    assert np.max(np.abs(law.table - exact)) <= 1e-12
+    u = np.linspace(0.0, 1.0, 2001)[:-1]
+    r = law.quantile(u)
+    assert np.max(np.abs(law.cdf(r) - u)) <= 1e-12
+    t = m * r ** (2 * p)
+    assert np.max(np.abs(np.mean([gamma.cdf(t, (k + 1) / p) for k in range(n)], axis=0)
+                         - u)) <= 1e-12
+
+
+def _spline_field():
+    # q = r^2/2 + r^4/4 tabulated and splined, as the CLI builds a custom field
+    r = np.linspace(0.0, 6.0, 600)
+    return make_custom_radial(CubicSpline(r, r**2 / 2 + r**4 / 4), CubicSpline(r, r + r**3),
+                              CubicSpline(r, 1.0 + 3.0 * r**2), 10.0, name="spline")
+
+
+@pytest.mark.parametrize("field, seed", [("power2", 41), ("spline", 42)])
+def test_dpp_mean_square_sum_exact(field, seed):
+    # E sum |z|^2 = sum_k E|z|^2 under mode k = sum_{k<n} h_{k+1} / h_k
+    pot = make_radial_power(2) if field == "power2" else _spline_field()
+    n, m = 8, 8.0
+    kern = weighted_kernel(pot, m, n)
+    cfg = SamplerConfig(master_seed=seed)
+    rng = stream_rng(seed, 0)
+    vals = np.array([np.sum(np.abs(sample_dpp(kern, cfg, rng).points) ** 2)
+                     for _ in range(2000)])
+    h = radial_norms(pot, m, n + 1).norms
+    exact = float(np.sum(h[1:] / h[:-1]))
+    mcse = vals.std(ddof=1) / np.sqrt(len(vals))
+    assert abs(vals.mean() - exact) <= 3.0 * mcse
+
+
+def test_dpp_needs_radial_kernel():
+    pot = make_ginibre()
+    grid = default_grid(pot, 4.0, 4)
+    kern = WeightedKernel(gram_schmidt_basis(pot, 4.0, 4, grid), pot)
+    with pytest.raises(UnsupportedPotentialError):
+        sample_dpp(kern, SamplerConfig(), stream_rng(0, 0))
+
+
+def test_radial_law_trace_guard():
+    # norms off by 1e-6 make the mass of R1/n differ from 1: trace != n
+    basis = radial_norms(make_ginibre(), 8.0, 8)
+    kern = WeightedKernel(replace(basis, log_norms=basis.log_norms + 1e-6), basis.potential)
+    with pytest.raises(GridResolutionError):
+        kern.radial_law
 
 
 # ---------------------------------------------------------------------------
