@@ -27,8 +27,6 @@ from .orthopoly import (
     radial_norms,
     gram_schmidt_basis,
     weighted_kernel,
-    kernel_eval,
-    one_point,
     diagonal_expansion_residual,
     offdiagonal_decay_profile,
     fit_decay_rate,

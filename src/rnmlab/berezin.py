@@ -61,10 +61,7 @@ class BerezinKernel:
         return np.abs(S) ** 2 * np.exp(2.0 * shift - self.log_r1_anchor)[:, None]
 
     def mass(self, grid: QuadratureGrid) -> float:
-        thetas = 2.0 * np.pi * np.arange(grid.n_theta) / grid.n_theta
-        dens = self.density_grid(grid.radial_nodes, thetas)
-        wr = grid.radial_weights * grid.radial_nodes
-        return float(wr @ dens.sum(axis=1) * (2.0 / grid.n_theta))
+        return float(grid.integrate(self.density_grid(grid.radial_nodes, grid.thetas)))
 
 
 def _berezin_kernel_unchecked(kern: WeightedKernel, z0: complex) -> BerezinKernel:
@@ -102,12 +99,9 @@ def berezin_transform(kern: WeightedKernel, f, z0: complex,
     if grid is None:
         grid = default_grid(kern.potential, kern.m, kern.n)
     bk = berezin_kernel(kern, z0)
-    thetas = 2.0 * np.pi * np.arange(grid.n_theta) / grid.n_theta
-    dens = bk.density_grid(grid.radial_nodes, thetas)
+    dens = bk.density_grid(grid.radial_nodes, grid.thetas)
     vals = np.asarray(np.real(f.value(grid.nodes)), dtype=float)
-    vals = vals.reshape(grid.radial_nodes.size, grid.n_theta)
-    wr = (grid.radial_weights * grid.radial_nodes) * (2.0 / grid.n_theta)
-    value = float(wr @ (vals * dens).sum(axis=1))
+    value = float(grid.integrate(vals * dens.ravel()))
     z0c = complex(z0)
     quarter_lap_f = 0.25 * float(np.real(f.laplacian_std(z0c)))
     correction = quarter_lap_f / float(kern.potential.laplacian(z0c))
@@ -229,22 +223,20 @@ def exterior_poisson_density(z0: complex, radius: float, thetas) -> np.ndarray:
                                          np.abs(z0 - radius * np.exp(1j * th)) ** 2)
 
 
-def exterior_harmonic_measure_check(kern: WeightedKernel, z0: complex,
-                                    n_theta: int = 512,
-                                    n_radial: int = 400,
-                                    outside_margin: float = 1.1) -> HarmonicMeasureCheck:
+def exterior_harmonic_measure_check(kern: WeightedKernel,
+                                    z0: complex) -> HarmonicMeasureCheck:
     """Angular marginal of the Berezin measure at an exterior anchor against
-    the exterior Poisson kernel of the droplet disk (L1 on the circle grid),
-    plus the mass beyond outside_margin * R (which must vanish as n grows:
-    the finite-n ring straddles the boundary, so the margin excludes it)."""
+    the exterior Poisson kernel of the droplet disk (L1 on a 512-angle circle
+    grid), plus the mass beyond 1.1 R (which must vanish as n grows: the
+    finite-n ring straddles the boundary, so the margin excludes it)."""
     pot = kern.potential
     radius = compute_droplet(pot, kern.n / kern.m).radius
     if abs(z0) <= 1.1 * radius - 1e-12:
         raise AnchorError(f"exterior anchor must satisfy |z0| > 1.1 R = {1.1*radius:.4g}")
-    grid = default_grid(pot, kern.m, kern.n, n_radial=n_radial, n_theta=n_theta)
+    grid = default_grid(pot, kern.m, kern.n, n_theta=512)
     r = grid.radial_nodes
     wr = grid.radial_weights
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    thetas = grid.thetas
 
     # far anchors legitimately underflow R1 itself; the density ratio stays
     # representable in the log domain, so skip the point-wise guard here
@@ -253,12 +245,13 @@ def exterior_harmonic_measure_check(kern: WeightedKernel, z0: complex,
 
     marginal = (wr * r) @ dens / np.pi  # density w.r.t. d theta
     poisson = exterior_poisson_density(z0, radius, thetas)
-    dtheta = 2.0 * np.pi / n_theta
+    dtheta = 2.0 * np.pi / grid.n_theta
     l1 = float(np.sum(np.abs(marginal - poisson)) * dtheta)
-    outside = r > outside_margin * radius
+    outside_radius = 1.1 * radius
+    outside = r > outside_radius
     mass_outside = float(np.sum((wr[outside] * r[outside]) @ dens[outside]) * dtheta / np.pi)
     return HarmonicMeasureCheck(l1_distance=l1, mass_outside=mass_outside,
-                                outside_radius=outside_margin * radius,
+                                outside_radius=outside_radius,
                                 thetas=thetas, marginal=marginal, poisson=poisson)
 
 

@@ -146,6 +146,8 @@ def draw_samples(cfg: dict, pot, m, n, tau, seed: int, count: int, threads: int)
     """Samples from the configured route, chains combined in index order."""
     kind = str(cfg_get(cfg, "sampler.kind", "matrix")).lower()
     chains = int(cfg_get(cfg, "chains", 1))
+    if chains < 1:
+        raise ConfigError(f"chains must be >= 1, got {chains}")
     scfg = sampler_config(cfg, seed)
     per = [count // chains + (1 if i < count % chains else 0) for i in range(chains)]
 
@@ -208,7 +210,7 @@ class Reporter:
         self.csvs.append((name, header))
         return path
 
-    def finish(self, exit_on_fail: bool = True) -> int:
+    def finish(self) -> int:
         ok = all(c["pass"] for c in self.checks)
         summary = {"schema_version": SCHEMA_VERSION, "subcommand": self.sub,
                    "checks": self.checks, "pass": ok}
@@ -223,7 +225,7 @@ class Reporter:
                 lines.append("pause -1")
             (self.out / f"{self.sub}.gp").write_text("\n".join(lines) + "\n")
         print(f"[{'PASS' if ok else 'FAIL'}] {self.sub}: summary in {path}")
-        return 0 if (ok or not exit_on_fail) else 1
+        return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

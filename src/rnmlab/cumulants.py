@@ -1,6 +1,7 @@
 """Exact combinatorics behind the cumulant expansion of linear statistics,
-the Gaussian pair integrals that control the limiting variance, and an exact
-finite-n cumulant engine built on cyclic kernel-product traces.
+the Gaussian pair integrals that control the limiting variance, and exact
+finite-n cumulants of any order from the power series of the Fredholm
+log-determinant.
 
 Coefficients are exact rationals (fractions.Fraction); only function values
 are floats, so the combinatorial cancellations stay exact.
@@ -20,8 +21,6 @@ import numpy as np
 from .orthopoly import GridResolutionError, QuadratureGrid, WeightedKernel, leggauss
 
 ExactRational = Fraction
-
-MAX_ORDER = 6  # composition count doubles per order; override explicitly beyond
 
 
 def compositions(k: int, parts: int):
@@ -117,6 +116,9 @@ def g_k_eval(g, points: Sequence[complex]) -> float:
     return total
 
 
+_FD_STEP = 1e-4  # coarse finite-difference step of the diagonal derivative checks
+
+
 class DiagonalCheck(NamedTuple):
     value: float
     reference: float
@@ -130,7 +132,7 @@ def _richardson(fn, h):
     return (4.0 * fn(0.5 * h) - fn(h)) / 3.0
 
 
-def diagonal_laplacian_check(g, lam: complex, k: int, step: float = 1e-4) -> DiagonalCheck:
+def diagonal_laplacian_check(g, lam: complex, k: int) -> DiagonalCheck:
     """Quarter-Laplacian of the k-point composition statistic on the diagonal,
     by central differences with Richardson extrapolation, against the exact
     diagonal value |grad g|^2 / 2 (k = 2) or 0 (k >= 3)."""
@@ -148,7 +150,7 @@ def diagonal_laplacian_check(g, lam: complex, k: int, step: float = 1e-4) -> Dia
                 total += _second_diff(sect, 0.0, h)
         return 0.25 * total
 
-    value = _richardson(lap_sum, step)
+    value = _richardson(lap_sum, _FD_STEP)
     if k == 2:
         grad = np.asarray(g.gradient(lam), dtype=float)
         reference = 0.5 * float(np.sum(grad**2))
@@ -157,7 +159,7 @@ def diagonal_laplacian_check(g, lam: complex, k: int, step: float = 1e-4) -> Dia
     return DiagonalCheck(value=float(value), reference=reference)
 
 
-def mixed_derivative_sum(g, lam: complex, k: int, step: float = 1e-4) -> complex:
+def mixed_derivative_sum(g, lam: complex, k: int) -> complex:
     """sum_{i<j} d_i dbar_j of the composition statistic on the diagonal
     (mixed Wirtinger derivatives by finite differences).  Equals
     -|dbar g|^2 at k = 2 and is purely imaginary for k >= 3."""
@@ -182,8 +184,8 @@ def mixed_derivative_sum(g, lam: complex, k: int, step: float = 1e-4) -> complex
     total = 0.0 + 0.0j
     for i in range(k):
         for j in range(i + 1, k):
-            coarse = one_pair(i, j, step)
-            fine = one_pair(i, j, 0.5 * step)
+            coarse = one_pair(i, j, _FD_STEP)
+            fine = one_pair(i, j, 0.5 * _FD_STEP)
             total += (4.0 * fine - coarse) / 3.0
     return complex(total)
 
@@ -195,9 +197,8 @@ class PairIntegrals(NamedTuple):
     L_opposite: complex
 
 
-@lru_cache(maxsize=8)
-def gaussian_pair_integrals(n_radial: int = 96, n_theta: int = 112,
-                            r_max: float = 7.0) -> PairIntegrals:
+@lru_cache(maxsize=1)
+def gaussian_pair_integrals() -> PairIntegrals:
     """The four Gaussian pair integrals
         int p(xi1, xi2) e^{xi1 conj(xi2) - |xi1|^2 - |xi2|^2} dA(xi1) dA(xi2)
     for p = xi1 xi2, conj(xi1 xi2), xi1 conj(xi2), conj(xi1) xi2, by 4-D
@@ -207,6 +208,7 @@ def gaussian_pair_integrals(n_radial: int = 96, n_theta: int = 112,
     theta - phi, so the 4-D tensor sum is assembled from a radial reduction
     V(psi) followed by the full double angular sum.
     """
+    n_radial, n_theta, r_max = 96, 112, 7.0
     x, w = leggauss(n_radial)
     r = 0.5 * r_max * (x + 1.0)
     wr = 0.5 * r_max * w
@@ -239,25 +241,21 @@ def _is_radial(g) -> bool:
     return bool(getattr(g, "radial", False))
 
 
-def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int,
-                 allow_high_order: bool = False) -> float:
-    """Exact finite-n cumulant of the linear statistic of g, through the
-    composition expansion of cyclic kernel-product integrals evaluated as
-    matrix traces on the quadrature grid.
+def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int) -> float:
+    """Exact finite-n cumulant C_k of the linear statistic of g, any k >= 1:
+    k! times the lambda^k coefficient of the Fredholm log-determinant
+    log E e^{lambda sum g} = log det(I + sum_{p>=1} lambda^p A_p / p!).
 
-    With weighted feature rows F (grid point x basis index, carrying
-    sqrt(w_a)), every trace of a product M_{g^{p_1}} Ktilde ... M_{g^{p_j}}
-    Ktilde equals the trace of the product of the n x n moment matrices
-    A_p = F^H diag(g^p) F, which is what is computed here.  When both the
-    weight and g are radial the moment matrices are diagonal and reduce to
-    radial quadratures.
+    The moment matrices A_p = F^H diag(g^p) F come from the weighted feature
+    rows F on the quadrature grid (grid point x basis index, carrying
+    sqrt(w_a)).  With B_p = A_p / p! and the inverse series W_0 = I,
+    W_q = -sum_{p<=q} B_p W_{q-p}, the derivative of the log-determinant
+    gives C_k = (k-1)! sum_{p<=k} p tr(B_p W_{k-p}): O(k^2) products of
+    n x n matrices.  When both the weight and g are radial the moment
+    matrices are diagonal radial quadratures and the products elementwise.
     """
     if k < 1:
         raise ValueError("cumulant order must be >= 1")
-    if k > MAX_ORDER and not allow_high_order:
-        raise ValueError(
-            f"order {k} exceeds the default cap {MAX_ORDER} "
-            "(composition count grows fast); pass allow_high_order=True")
 
     val = _value_fn(g)
     if kern.basis.mode == "radial" and _is_radial(g):
@@ -265,32 +263,23 @@ def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int,
         # |psi_k(r)|^2 2r dr: (radial node, mode)
         T = np.exp(2.0 * kern.log_modes(r)) * (2.0 * r * grid.radial_weights)[:, None]
         trace = float(np.sum(T))
-        if abs(trace - kern.n) > 1e-4:
-            raise GridResolutionError(
-                f"grid too coarse: trace {trace:.6f} deviates from n = {kern.n}")
-        gv = np.asarray(np.real(val(r.astype(complex))), dtype=float)
-        moments = {p: T.T @ gv**p for p in range(1, k + 1)}  # diagonal of A_p
-        total = 0.0
-        for term in composition_terms(k):
-            prod = np.ones(kern.n)
-            for p in term.parts:
-                prod = prod * moments[p]
-            total += float(term.coefficient) * float(np.sum(prod))
-        return total
-
-    F = kern.features(grid.nodes) * np.sqrt(grid.weights)[:, None]
-    trace = float(np.real(np.sum(np.abs(F) ** 2)))
+        points, mul, tr = r.astype(complex), np.multiply, np.sum
+        moment = lambda h: T.T @ h  # diagonal of A_p
+    else:
+        F = kern.features(grid.nodes) * np.sqrt(grid.weights)[:, None]
+        trace = float(np.real(np.sum(np.abs(F) ** 2)))
+        points, mul, tr = grid.nodes, np.matmul, np.trace
+        moment = lambda h: F.conj().T @ (h[:, None] * F)
     if abs(trace - kern.n) > 1e-4:
         raise GridResolutionError(
             f"grid too coarse: trace {trace:.6f} deviates from n = {kern.n}")
-    gv = np.asarray(np.real(val(grid.nodes)), dtype=float)
-    mats = {p: F.conj().T @ (gv[:, None] ** p * F) for p in range(1, k + 1)}
-    total = 0.0 + 0.0j
-    for term in composition_terms(k):
-        prod = mats[term.parts[0]]
-        for p in term.parts[1:]:
-            prod = prod @ mats[p]
-        total += float(term.coefficient) * np.trace(prod)
+    gv = np.asarray(np.real(val(points)), dtype=float)
+    B = [None] + [moment(gv**p) / math.factorial(p) for p in range(1, k + 1)]
+    W = [None]  # W_0 = I is never formed
+    for q in range(1, k):
+        W.append(-B[q] - sum(mul(B[p], W[q - p]) for p in range(1, q)))
+    total = k * tr(B[k]) + sum(p * np.sum(B[p] * W[k - p].T) for p in range(1, k))
+    total = complex(math.factorial(k - 1) * total)
     if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
         raise FloatingPointError(f"cumulant came out non-real: {total}")
     return float(total.real)

@@ -73,6 +73,11 @@ class QuadratureGrid:
         return cls(r_cut=float(r_cut), radial_nodes=r, radial_weights=wr,
                    n_theta=int(n_theta), nodes=z.ravel(), weights=wa.ravel().copy())
 
+    @property
+    def thetas(self) -> np.ndarray:
+        """The n_theta uniform angles of the product grid."""
+        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
+
     def integrate(self, values) -> complex:
         return np.sum(self.weights * np.asarray(values).ravel())
 
@@ -457,16 +462,6 @@ def weighted_kernel(pot: Potential, m: float, n: int,
     return WeightedKernel(gram_schmidt_basis(pot, m, n, grid), pot)
 
 
-def kernel_eval(kern: WeightedKernel, z, w):
-    """Weighted kernel value K(z,w) e^{-m(Q(z)+Q(w))/2} (complex)."""
-    return kern.weighted(z, w)
-
-
-def one_point(kern: WeightedKernel, z):
-    """One-point density R1(z) = K(z,z) e^{-mQ(z)}."""
-    return kern.one_point(z)
-
-
 def diagonal_expansion_residual(kern: WeightedKernel, z) -> float:
     """| R1(z) - m lap Q(z) - (1/2) lap log lap Q(z) |, the bulk expansion
     error; O(1/m) at bulk points (|z| <= 0.75 R)."""
@@ -477,21 +472,21 @@ def diagonal_expansion_residual(kern: WeightedKernel, z) -> float:
     return float(resid) if resid.shape == () else resid
 
 
-def offdiagonal_decay_profile(kern: WeightedKernel, z0, radii, n_theta: int = 64) -> np.ndarray:
-    """max over angle of |weighted kernel(z0, z0 + h)| for each |h| in radii."""
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+def offdiagonal_decay_profile(kern: WeightedKernel, z0, radii) -> np.ndarray:
+    """max over 64 angles of |weighted kernel(z0, z0 + h)| for each |h| in radii."""
+    theta = 2.0 * np.pi * np.arange(64) / 64
     radii = np.asarray(radii, dtype=float)
     h = radii[:, None] * np.exp(1j * theta)[None, :]
     logabs, _ = kern.log_weighted(np.asarray(z0, dtype=complex), np.asarray(z0) + h)
     return np.exp(np.max(logabs, axis=-1))
 
 
-def fit_decay_rate(radii, profile, m: float, floor: float = 1e-280):
+def fit_decay_rate(radii, profile, m: float):
     """Least-squares decay rate of an envelope profile, and its epsilon in the
     e^{-eps sqrt(m) |h|} parametrization."""
     radii = np.asarray(radii, dtype=float)
     profile = np.asarray(profile, dtype=float)
-    keep = profile > floor
+    keep = profile > 1e-280  # underflow floor
     if np.count_nonzero(keep) < 3:
         raise ValueError("profile underflows on nearly all radii; reduce them")
     slope, _ = np.polyfit(radii[keep], -np.log(profile[keep]), 1)

@@ -150,13 +150,12 @@ def re_coordinate(taper_start: float = 2.0, taper_end: float = 3.0) -> TestFunct
 # quadrature helpers on a support disk
 
 
-def _disk_rule(center: complex, radius: float, n_radial: int = 400, n_theta: int = 256):
-    grid = QuadratureGrid.disk(radius, n_radial=n_radial, n_theta=n_theta)
+def _disk_rule(center: complex, radius: float):
+    grid = QuadratureGrid.disk(radius)
     return center + grid.nodes, grid.weights
 
 
-def gradient_pair_integral(f: TestFunction, g: TestFunction,
-                           n_radial: int = 400, n_theta: int = 256) -> float:
+def gradient_pair_integral(f: TestFunction, g: TestFunction) -> float:
     """int grad f . grad g dA over the union of the support disks."""
     for t in (f, g):
         if not t.compactly_supported:
@@ -172,23 +171,23 @@ def gradient_pair_integral(f: TestFunction, g: TestFunction,
         radius = 0.5 * (abs(c1 - c2) + r1 + r2)
         direction = (c2 - c1) / abs(c2 - c1) if c1 != c2 else 0.0
         center = c1 + direction * (radius - r1)
-    z, w = _disk_rule(center, radius, n_radial, n_theta)
+    z, w = _disk_rule(center, radius)
     dot = np.sum(np.asarray(f.gradient(z)) * np.asarray(g.gradient(z)), axis=-1)
     return float(np.sum(w * dot))
 
 
-def dirichlet_energy(g: TestFunction, **kw) -> float:
+def dirichlet_energy(g: TestFunction) -> float:
     """int |grad g|^2 dA."""
-    return gradient_pair_integral(g, g, **kw)
+    return gradient_pair_integral(g, g)
 
 
-def variance_prediction(g: TestFunction, **kw) -> float:
+def variance_prediction(g: TestFunction) -> float:
     """Limiting fluctuation variance (1/4) int |grad g|^2 dA."""
-    return 0.25 * dirichlet_energy(g, **kw)
+    return 0.25 * dirichlet_energy(g)
 
 
-def covariance_prediction(f: TestFunction, g: TestFunction, **kw) -> float:
-    return 0.25 * gradient_pair_integral(f, g, **kw)
+def covariance_prediction(f: TestFunction, g: TestFunction) -> float:
+    return 0.25 * gradient_pair_integral(f, g)
 
 
 @lru_cache(maxsize=32)
@@ -281,6 +280,8 @@ def clt_report(samples: Sequence[PointConfiguration], g: TestFunction,
     if not g.compactly_supported or \
             abs(g.support_center) + g.support_radius > 0.9 * drop.radius:
         raise SupportError("test function not bulk-supported")
+    if len(samples) < 4:
+        raise ValueError(f"clt_report needs at least 4 samples, got {len(samples)}")
     x = fluct_values(samples, g, drop)
     n = len(x)
     var = float(x.var(ddof=1))
@@ -401,8 +402,7 @@ class BoundaryPrediction(NamedTuple):
     exterior_energy: float
 
 
-def boundary_statistics(f: TestFunction, drop: Droplet,
-                        n_theta: int = 512, n_radial: int = 400) -> BoundaryPrediction:
+def boundary_statistics(f: TestFunction, drop: Droplet) -> BoundaryPrediction:
     """Limit mean and variance of the fluctuation of a global statistic for a
     constant-Laplacian (Hele-Shaw type) field with disk droplet:
 
@@ -423,7 +423,8 @@ def boundary_statistics(f: TestFunction, drop: Droplet,
         raise UnsupportedPotentialError(
             "boundary formulas are implemented only for constant-Laplacian fields")
 
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    grid = QuadratureGrid.disk(R, n_theta=512)
+    theta, n_theta = grid.thetas, grid.n_theta
     ring = R * np.exp(1j * theta)
     grad = np.asarray(f.gradient(ring))
     normal = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -434,9 +435,8 @@ def boundary_statistics(f: TestFunction, drop: Droplet,
     kk = np.fft.fftfreq(n_theta, d=1.0 / n_theta)
     exterior = 2.0 * float(np.sum(np.abs(kk) * np.abs(coeff) ** 2))
 
-    z, w = _disk_rule(0.0, R, n_radial=n_radial, n_theta=n_theta)
-    gsq = np.sum(np.asarray(f.gradient(z)) ** 2, axis=-1)
-    interior = float(np.sum(w * gsq))
+    gsq = np.sum(np.asarray(f.gradient(grid.nodes)) ** 2, axis=-1)
+    interior = float(np.sum(grid.weights * gsq))
 
     return BoundaryPrediction(e_f=e_f, v_f2=0.25 * (interior + exterior),
                               interior_energy=interior, exterior_energy=exterior)

@@ -217,6 +217,13 @@ def test_error_exit_codes(tmp_path, monkeypatch, capsys, error, code, label):
     assert capsys.readouterr().err.startswith(f"{label}: {error}")
 
 
+@pytest.mark.parametrize("chains, samples", [(0, 40), (-1, 40), (1, 3)])
+def test_clt_bad_sample_bank_is_config_error(tmp_path, capsys, chains, samples):
+    cfg = write_config(tmp_path, f"n = 8\nseed = 5\nchains = {chains}\nsamples = {samples}\n")
+    assert run(["clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 def test_cumulants_subcommand(tmp_path):
     cfg = write_config(tmp_path, "n_list = 16, 32\ncumulants.k_max = 3\n")
     out = tmp_path / "out"
@@ -228,6 +235,15 @@ def test_cumulants_subcommand(tmp_path):
     assert code == 1
     summary = json.loads((out / "cumulants_summary.json").read_text())
     assert summary["pass"] is False
+
+
+def test_cumulants_subcommand_high_order(tmp_path):
+    cfg = write_config(tmp_path, "n_list = 16\ncumulants.k_max = 8\n")
+    out = tmp_path / "out"
+    code = run(["cumulants", "--config", str(cfg), "--out", str(out)])
+    assert code != 2
+    rows = (out / "cumulants.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in rows[1:]] == [str(k) for k in range(1, 9)]
 
 
 def test_boundary_subcommand(tmp_path):

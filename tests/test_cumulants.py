@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -260,15 +261,24 @@ def test_cumulant_shift_invariance(ginibre_pot):
         assert ck_scaled == pytest.approx(t**k * ck, rel=1e-10, abs=1e-12)
 
 
-def test_order_cap_enforced(ginibre_pot):
-    n = 8
+@pytest.mark.parametrize("center, n, k_max, grid_kw", [
+    pytest.param(0.0, 8, 9, {}, id="radial"),
+    pytest.param(0.1, 12, 5, {"n_radial": 200, "n_theta": 64}, id="general"),
+])
+def test_recursion_matches_composition_route(ginibre_pot, center, n, k_max, grid_kw):
+    # oracle: sum over the compositions of k of coefficient x
+    # tr(A_{p_1} ... A_{p_j}), with A_p = F^H diag(g^p) F from the features
     kern = weighted_kernel(ginibre_pot, float(n), n)
-    grid = default_grid(ginibre_pot, float(n), n, n_radial=150, n_theta=48)
-    g = bump(0.0, 0.5)
-    with pytest.raises(ValueError, match="allow_high_order"):
-        dpp_cumulant(kern, grid, g, 7)
-    val = dpp_cumulant(kern, grid, g, 7, allow_high_order=True)
-    assert np.isfinite(val)
+    grid = default_grid(ginibre_pot, float(n), n, **grid_kw)
+    g = bump(center, 0.5)
+    F = kern.features(grid.nodes) * np.sqrt(grid.weights)[:, None]
+    gv = np.real(g.value(grid.nodes))
+    A = {p: F.conj().T @ (gv[:, None] ** p * F) for p in range(1, k_max + 1)}
+    for k in range(1, k_max + 1):
+        oracle = sum(float(t.coefficient) * np.trace(reduce(np.matmul, [A[p] for p in t.parts]))
+                     for t in composition_terms(k))
+        assert abs(oracle.imag) < 1e-11
+        assert dpp_cumulant(kern, grid, g, k) == pytest.approx(oracle.real, rel=0, abs=1e-11)
 
 
 def test_grid_gate_rejects_coarse_grid(ginibre_pot):

@@ -7,9 +7,9 @@ import pytest
 from rnmlab.orthopoly import (DivergentNormError, QuadratureGrid, WeightedKernel,
                               UnsupportedPotentialError, bergman_approx,
                               default_grid, diagonal_expansion_residual,
-                              fit_decay_rate, gram_schmidt_basis, kernel_eval,
+                              fit_decay_rate, gram_schmidt_basis,
                               nystrom_matrix, offdiagonal_decay_profile,
-                              one_point, radial_norms, weighted_kernel)
+                              radial_norms, weighted_kernel)
 from rnmlab.potential import make_custom_radial, make_ginibre, make_radial_power
 
 
@@ -131,9 +131,6 @@ def test_gram_schmidt_requires_resolving_grid():
 def test_kernel_at_origin_is_m(kern16):
     assert kern16.weighted(0.0, 0.0) == pytest.approx(16.0)
     assert kern16.one_point(0.0) == pytest.approx(16.0)
-    # the op-level wrappers agree with the methods
-    assert kernel_eval(kern16, 0.0, 0.0) == pytest.approx(16.0)
-    assert one_point(kern16, 0.0) == pytest.approx(16.0)
 
 
 def test_hermitian_symmetry(kern16):
