@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -114,14 +115,20 @@ def build_test_function(cfg: dict):
 
 
 def resolve_mn(cfg: dict):
-    tau = float(cfg_get(cfg, "tau", 1.0))
-    n = cfg_get(cfg, "n", 64)
-    if int(n) < 1:
+    """(m, n, tau) with m tau = n; tau defaults to n / m when m is set, else 1."""
+    n = int(cfg_get(cfg, "n", 64))
+    if n < 1:
         raise ConfigError("n must be >= 1")
-    n = int(n)
     m = cfg_get(cfg, "m", None)
+    if m is not None and not float(m) > 0:
+        raise ConfigError(f"m must be > 0, got {m}")
+    tau = float(cfg_get(cfg, "tau", 1.0 if m is None else n / float(m)))
+    if not tau > 0:
+        raise ConfigError(f"tau must be > 0, got {tau}")
     if m is None:
         m = n / tau
+    elif not math.isclose(float(m) * tau, n, rel_tol=1e-9):
+        raise ConfigError(f"m = {m}, tau = {tau} and n = {n} disagree: need m tau = n")
     return float(m), n, tau
 
 
@@ -142,7 +149,7 @@ def require_seed(cfg: dict, args) -> int:
     return int(seed)
 
 
-def draw_samples(cfg: dict, pot, m, n, tau, seed: int, count: int, threads: int):
+def draw_samples(cfg: dict, pot, m, n, seed: int, count: int, threads: int):
     """Samples from the configured route, chains combined in index order."""
     kind = str(cfg_get(cfg, "sampler.kind", "matrix")).lower()
     chains = int(cfg_get(cfg, "chains", 1))
@@ -284,11 +291,11 @@ def cmd_kernel(cfg, args, rep: Reporter) -> int:
 
 def cmd_sample(cfg, args, rep: Reporter) -> int:
     pot = build_potential(cfg)
-    m, n, tau = resolve_mn(cfg)
+    m, n, _ = resolve_mn(cfg)
     seed = require_seed(cfg, args)
     count = int(cfg_get(cfg, "samples", 100))
     threads = args.threads
-    samples, kind = draw_samples(cfg, pot, m, n, tau, seed, count, threads)
+    samples, kind = draw_samples(cfg, pot, m, n, seed, count, threads)
     fmt = str(cfg_get(cfg, "output.format", "csv")).lower()
     if fmt == "csv":
         rows = [[i, j, z.real, z.imag]
@@ -322,7 +329,7 @@ def cmd_clt(cfg, args, rep: Reporter) -> int:
     count = int(cfg_get(cfg, "samples", 2000))
     g = build_test_function(cfg)
     drop = compute_droplet(pot, tau)
-    samples, kind = draw_samples(cfg, pot, m, n, tau, seed, count, args.threads)
+    samples, kind = draw_samples(cfg, pot, m, n, seed, count, args.threads)
     report = st.clt_report(samples, g, drop, pot)
     vals = st.fluct_values(samples, g, drop)
     rep.write_csv("fluct_values.csv", ["sample_id", "fluct"],
@@ -399,7 +406,7 @@ def cmd_berezin(cfg, args, rep: Reporter) -> int:
 
 def cmd_scaling(cfg, args, rep: Reporter) -> int:
     pot = build_potential(cfg)
-    m, n, tau = resolve_mn(cfg)
+    m, n, _ = resolve_mn(cfg)
     kern = weighted_kernel(pot, m, n)
     z0 = complex(cfg_get(cfg, "scaling.anchor", 0.0))
     pts = np.linspace(-1.4, 1.4, 3)

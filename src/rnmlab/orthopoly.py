@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss as _leggauss_uncached
-from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 
@@ -84,20 +83,11 @@ class QuadratureGrid:
 
 def default_grid(pot: Potential, m: float, n: int,
                  n_radial: int = 400, n_theta: Optional[int] = None) -> QuadratureGrid:
-    """Grid sized for a degree-(n-1) kernel at weight e^{-mQ}: [0, 2R] extended
-    until the heaviest norm integrand has decayed below 1e-14 of its peak."""
-    tau = n / m
-    radius = compute_droplet(pot, tau).radius
-    r_cut = 2.0 * radius
+    """Grid sized for a degree-(n-1) kernel at weight e^{-mQ}: [0, 2R], widened
+    to the window of the radial norms (``_norm_window``) where that is wider."""
+    r_cut = 2.0 * compute_droplet(pot, n / m).radius
     if pot.radial_profile is not None and n >= 1:
-        prof = pot.radial_profile
-        a = 2 * (n - 1) + 1
-        r_peak, log_peak = _norm_integrand_peak(prof, m, a)
-        ell = lambda r: a * np.log(r) - m * float(prof.q(r))
-        r_tail = max(r_peak, 1e-3)
-        while ell(r_tail) > log_peak - 40.0 and r_tail < 1e6:
-            r_tail *= 1.25
-        r_cut = max(r_cut, r_tail)
+        r_cut = max(r_cut, _norm_window(pot, m, n))
     if n_theta is None:
         n_theta = max(256, 4 * n)
     return QuadratureGrid.disk(r_cut, n_radial=n_radial, n_theta=n_theta)
@@ -107,41 +97,38 @@ def default_grid(pot: Potential, m: float, n: int,
 # radial norms
 
 
-def _norm_integrand_peak(profile, m, a):
-    """Peak location and log-height of r^a e^{-m q(r)}; raises if divergent."""
-    dq = profile.dq
+def _norm_window(pot: Potential, m: float, n: int) -> float:
+    """r past which r^{2n-1} e^{-m q(r)}, the integrand of h_{n-1}, stays
+    below e^{-40} of its peak; every h_k with k < n decays faster there."""
+    prof = pot.radial_profile
+    a = 2 * n - 1
+    rho = pot.growth_exponent
 
     def slope(r):
-        return m * r * float(dq(r)) - a
+        return m * r * float(prof.dq(r)) - a
+
+    def ell(r):
+        return a * np.log(r) - m * float(prof.q(r))
 
     hi = 1.0
     while slope(hi) <= 0.0:
         hi *= 2.0
         if hi > 1e9:
             raise DivergentNormError(
-                "norm integrand never decays: growth condition violated")
+                f"h_{n - 1} diverges for m={m}, n={n}: need m/n > 1/rho (rho = {rho})")
     r_peak = brentq(slope, 1e-12, hi, xtol=1e-14, rtol=8.9e-16)
-    log_peak = a * np.log(r_peak) - m * float(profile.q(r_peak))
-    return r_peak, log_peak
+    floor = ell(r_peak) - 40.0
+    r_cut = max(r_peak, 1e-3)
+    while ell(r_cut) > floor:
+        r_cut *= 1.25
+        if r_cut > 1e6:
+            raise DivergentNormError(
+                f"h_{n - 1} has not decayed by e^-40 at r = 1e6 for m={m}, n={n}: "
+                f"need m/n farther above 1/rho (rho = {rho})")
+    return r_cut
 
 
-def _log_radial_integral(profile, m, a):
-    """log of int_0^inf r^a e^{-m q(r)} dr, computed with a peak shift."""
-    q = profile.q
-    r_peak, log_peak = _norm_integrand_peak(profile, m, a)
-
-    def ell(r):
-        return a * np.log(r) - m * np.asarray(q(r), dtype=float)
-
-    r_hi = max(r_peak, 1e-6)
-    while ell(r_hi) > log_peak - 80.0:
-        r_hi *= 1.5
-        if r_hi > 1e9:
-            raise DivergentNormError("norm integrand tail does not decay")
-
-    val, _ = quad(lambda r: np.exp(ell(r) - log_peak), 0.0, r_hi,
-                  points=[r_peak], limit=200, epsabs=0.0, epsrel=1e-12)
-    return log_peak + np.log(val)
+_PANELS = 512  # panels of the composite radial rule on [0, _norm_window]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,21 +157,26 @@ class OrthonormalBasis:
 def radial_norms(pot: Potential, m: float, n: int) -> OrthonormalBasis:
     """Squared monomial norms h_k = int r^{2k} e^{-m q(r)} 2r dr, k < n.
 
-    The quadrature window is chosen per k so the discarded tail is below
-    1e-14 of the integral; a divergent top norm (n/m beyond the growth
-    exponent) raises DivergentNormError.
+    One composite rule, _PANELS equal panels x 16 Gauss-Legendre nodes on
+    [0, _norm_window] (past which even the top integrand has fallen by
+    e^{-40}), gives every log h_k in one pass, each sum shifted by its largest
+    term.  A divergent top norm (n/m beyond the growth exponent) raises
+    DivergentNormError.
     """
     if pot.radial_profile is None:
         raise UnsupportedPotentialError("radial_norms needs a radial profile")
-    prof = pot.radial_profile
+    x, w = leggauss(16)
+    half = 0.5 * _norm_window(pot, m, max(n, 1)) / _PANELS
+    r = (half * (2.0 * np.arange(_PANELS)[:, None] + x + 1.0)).ravel()
+    base = np.log(2.0 * half * np.tile(w, _PANELS) * r) \
+        - m * np.asarray(pot.radial_profile.q(r), dtype=float)
+    lr2 = 2.0 * np.log(r)
     logs = np.empty(n)
-    for k in range(n):
-        try:
-            logs[k] = np.log(2.0) + _log_radial_integral(prof, m, 2 * k + 1)
-        except DivergentNormError as exc:
-            raise DivergentNormError(
-                f"h_{k} diverges for m={m}, n={n}: need m/n > 1/rho "
-                f"(rho = {pot.growth_exponent})") from exc
+    step = max(1, _CHUNK // r.size)
+    for lo in range(0, n, step):
+        k = np.arange(lo, min(n, lo + step))
+        L, s = _shifted_phase_sum(base + k[:, None] * lr2)
+        logs[lo:lo + step] = L + np.log(s)
     return OrthonormalBasis(m=float(m), n=int(n), mode="radial",
                             potential=pot, log_norms=logs)
 
@@ -378,12 +370,19 @@ class WeightedKernel:
         return RadialLaw.of(self)
 
 
-_LAW_PANELS = 512
-
-
 def _panel(breaks, x):
     """Index j of the panel [breaks[j], breaks[j+1]) holding x, clipped."""
-    return np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, _LAW_PANELS - 1)
+    return np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, _PANELS - 1)
+
+
+def _law_mass(kern: WeightedKernel, a, b):
+    """8-node Gauss-Legendre integral of 2r R1(r)/n over each [a, b], and
+    R1(b)/n."""
+    x, w = leggauss(8)
+    half = 0.5 * (b - a)
+    t = np.concatenate([a[:, None] + half[:, None] * (x + 1.0), b[:, None]], axis=1)
+    dens = kern.one_point(t.astype(complex)) / kern.n
+    return half * ((2.0 * t[:, :-1] * dens[:, :-1]) @ w), dens[:, -1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,12 +390,14 @@ class RadialLaw:
     """Law of |z| under the normalized one-point density R1/n of a radial
     kernel, and the droplet radius at tau = n/m.
 
-    ``table`` holds the CDF of 2r R1(r)/n at the panel ``edges`` of a
-    composite Gauss-Legendre rule (512 panels x 16 nodes) on [0, r_cut] of
-    ``default_grid``, divided by its total, which must equal 1 to 1e-10
-    (trace = n).  Quantiles come from the table by linear interpolation in
-    r^2 plus two Newton steps in r^2, where R1(0) > 0 keeps the slope away
-    from zero; an 8-node rule on the panel gives F between the edges.
+    ``table`` holds the CDF of 2r R1(r)/n at the panel ``edges`` of
+    ``radial_norms`` (_PANELS panels on [0, _norm_window]) from the 8-node
+    Gauss-Legendre rule on each panel, divided by its total.  The norms come
+    from the 16-node rule, so the total equals 1 to 1e-10 (trace = n) only
+    when both rules resolve every mode.  Quantiles come from the table by
+    linear interpolation in r^2 plus two Newton steps in r^2, where R1(0) > 0
+    keeps the slope away from zero; the same 8-node rule on the part of a
+    panel below r gives F between the edges.
     """
 
     kern: WeightedKernel
@@ -410,12 +411,8 @@ class RadialLaw:
         if kern.basis.mode != "radial":
             raise UnsupportedPotentialError("the radial law needs a radial basis")
         pot, m, n = kern.potential, kern.m, kern.n
-        edges = np.linspace(0.0, default_grid(pot, m, n).r_cut, _LAW_PANELS + 1)
-        x, w = leggauss(16)
-        half = 0.5 * (edges[1] - edges[0])
-        r = edges[:-1, None] + half * (x + 1.0)
-        mass = half * ((2.0 * r * kern.one_point(r.astype(complex)) / n) @ w)
-        table = np.concatenate([[0.0], np.cumsum(mass)])
+        edges = np.linspace(0.0, _norm_window(pot, m, n), _PANELS + 1)
+        table = np.concatenate([[0.0], np.cumsum(_law_mass(kern, edges[:-1], edges[1:])[0])])
         total = float(table[-1])
         if not abs(total - 1.0) <= 1e-10:
             raise GridResolutionError(
@@ -426,12 +423,8 @@ class RadialLaw:
 
     def _in_panel(self, j, r):
         """(F(r), dF/d(r^2)) for r in or near panel j."""
-        x, w = leggauss(8)
-        a = self.edges[j]
-        half = 0.5 * (r - a)
-        t = np.concatenate([a[:, None] + half[:, None] * (x + 1.0), r[:, None]], axis=1)
-        dens = self.kern.one_point(t.astype(complex)) / (self.kern.n * self.total)
-        return self.table[j] + half * ((2.0 * t[:, :-1] * dens[:, :-1]) @ w), dens[:, -1]
+        mass, dens = _law_mass(self.kern, self.edges[j], r)
+        return self.table[j] + mass / self.total, dens / self.total
 
     def cdf(self, r):
         """P(|z| <= r) under R1/n (r in [0, r_cut])."""

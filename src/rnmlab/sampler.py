@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -166,7 +166,7 @@ def _step_scale(pot: Potential, m: float, z: complex, floor: float,
 
 
 def sample_mcmc(pot: Potential, m: float, n: int, cfg: SamplerConfig,
-                rng: np.random.Generator, tau: Optional[float] = None,
+                rng: np.random.Generator,
                 chain_index: int = 0) -> Iterator[PointConfiguration]:
     """Metropolis chain for the joint eigenvalue density; yields a
     configuration every thin_stride sweeps after burn-in.
@@ -178,12 +178,10 @@ def sample_mcmc(pot: Potential, m: float, n: int, cfg: SamplerConfig,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tau is None:
-        tau = n / m
     if m / n <= 1.0 / pot.growth_exponent:
         raise ValueError(f"joint density not integrable: need m/n > "
                          f"1/rho = {1.0/pot.growth_exponent}")
-    radius = compute_droplet(pot, tau).radius
+    radius = compute_droplet(pot, n / m).radius
     # lap Q floor keeps the step finite where the field degenerates (origin
     # of higher power fields)
     floor = float(pot.laplacian(complex(0.5 * radius)))

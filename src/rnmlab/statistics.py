@@ -40,7 +40,6 @@ class TestFunction:
     laplacian_std: Callable
     support_center: Optional[complex] = None
     support_radius: Optional[float] = None
-    smoothness: str = "smooth"
     radial: bool = False
 
     @property

@@ -1,9 +1,19 @@
+import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from rnmlab.potential import compute_droplet, make_ginibre
+from rnmlab.potential import compute_droplet, make_custom_radial, make_ginibre
 from rnmlab.orthopoly import default_grid, weighted_kernel
 from rnmlab.sampler import (SamplerConfig, collect_mcmc, sample_dpp,
                             sample_ginibre_matrix, stream_rng)
+
+
+def spline_field():
+    """q = r^2/2 + r^4/4 tabulated on 600 knots and splined, as the CLI
+    builds a custom field from its r,q,q',q'' file."""
+    r = np.linspace(0.0, 6.0, 600)
+    return make_custom_radial(CubicSpline(r, r**2 / 2 + r**4 / 4), CubicSpline(r, r + r**3),
+                              CubicSpline(r, 1.0 + 3.0 * r**2), 10.0, name="spline")
 
 
 @pytest.fixture(scope="session")

@@ -76,6 +76,31 @@ def test_sample_rejects_n_zero(tmp_path, capsys):
     assert "n must be >= 1" in capsys.readouterr().err
 
 
+def test_m_without_tau_sets_the_droplet(tmp_path):
+    # m = 32 at n = 16 is tau = 1/2: the same experiment as tau = 0.5
+    blobs = []
+    for name, line in (("m", "m = 32"), ("tau", "tau = 0.5")):
+        cfg = write_config(tmp_path, f"n = 16\n{line}\nsamples = 20\n"
+                                     "sampler.kind = dpp\nseed = 3\n")
+        out = tmp_path / name
+        run(["clt", "--config", str(cfg), "--out", str(out)])
+        blobs.append((out / "clt_summary.json").read_bytes()
+                     + (out / "fluct_values.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("m = 32\ntau = 1.0", "disagree"),
+    ("m = 16\ntau = 0.5", "disagree"),
+    ("tau = 0", "tau must be > 0"),
+    ("m = -4", "m must be > 0"),
+], ids=["m32-tau1", "m16-tau0.5", "tau0", "m-4"])
+def test_bad_m_tau_is_config_error(tmp_path, capsys, lines, message):
+    cfg = write_config(tmp_path, f"n = 16\n{lines}\n")
+    assert run(["kernel", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sample_requires_seed(tmp_path):
     cfg = write_config(tmp_path, "n = 4\n")
     assert run(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -4,22 +4,16 @@ all read the modes log|psi_k(z)| from WeightedKernel.log_modes."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
 
 from rnmlab.berezin import berezin_kernel, conditional_one_point
 from rnmlab.orthopoly import default_grid, weighted_kernel
-from rnmlab.potential import compute_droplet, make_custom_radial, make_radial_power
+from rnmlab.potential import compute_droplet, make_radial_power
 
-
-def _spline_field():
-    # q = r^2/2 + r^4/4 tabulated and splined, as the CLI builds a custom field
-    r = np.linspace(0.0, 6.0, 600)
-    return make_custom_radial(CubicSpline(r, r**2 / 2 + r**4 / 4), CubicSpline(r, r + r**3),
-                              CubicSpline(r, 1.0 + 3.0 * r**2), 10.0, name="spline")
+from conftest import spline_field
 
 
 FIELDS = {1: make_radial_power(1), 2: make_radial_power(2), 3: make_radial_power(3),
-          "spline": _spline_field()}
+          "spline": spline_field()}
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

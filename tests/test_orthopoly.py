@@ -12,6 +12,8 @@ from rnmlab.orthopoly import (DivergentNormError, QuadratureGrid, WeightedKernel
                               radial_norms, weighted_kernel)
 from rnmlab.potential import make_custom_radial, make_ginibre, make_radial_power
 
+from conftest import spline_field
+
 
 # ---------------------------------------------------------------------------
 # grids
@@ -52,6 +54,24 @@ def test_gamma_oracle_many_orders(p):
     assert np.allclose(basis.log_norms, exact, atol=1e-12)
 
 
+def test_spline_norms_match_knot_rule():
+    # q is a cubic on each knot interval of the CLI-style spline field, so a
+    # 16-node Gauss-Legendre rule on every knot interval of [0, 6] (far past
+    # the decay of the top integrand) is converged; the norms' equal panels
+    # straddle the knots, where the third derivative of q jumps
+    pot = spline_field()
+    m, n = 32.0, 32
+    knots = pot.radial_profile.q.x
+    x, w = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * np.diff(knots)[:, None]
+    r = (knots[:-1, None] + half * (x + 1.0)).ravel()
+    terms = np.log(2.0 * (half * w).ravel() * r) - m * pot.radial_profile.q(r) \
+        + np.arange(n)[:, None] * 2.0 * np.log(r)
+    peak = terms.max(axis=1)
+    exact = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+    assert np.allclose(radial_norms(pot, m, n).log_norms, exact, rtol=0.0, atol=1e-12)
+
+
 def test_divergent_norm_raises():
     # logarithmic growth: q = rho log(1+r^2) keeps lap Q > 0 but the norms
     # diverge once the degree outruns m * rho
@@ -64,6 +84,10 @@ def test_divergent_norm_raises():
     )
     with pytest.raises(DivergentNormError, match="m/n > 1/rho"):
         radial_norms(pot, 4.0, 8)
+    # at m = 3.6, n = 3 the top integrand falls only like r^{-2.2}: no window
+    # below r = 1e6 holds it, and the grid no longer cuts it off there
+    with pytest.raises(DivergentNormError, match="farther above 1/rho"):
+        default_grid(pot, 3.6, 3)
 
 
 def test_radial_monomials_orthogonal_on_grid():

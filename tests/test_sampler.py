@@ -2,17 +2,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 from scipy.stats import chisquare, gamma, ks_2samp
 
 from rnmlab.orthopoly import (GridResolutionError, UnsupportedPotentialError,
                               WeightedKernel, default_grid, gram_schmidt_basis,
                               radial_norms, weighted_kernel)
-from rnmlab.potential import make_custom_radial, make_ginibre, make_radial_power
+from rnmlab.potential import make_ginibre, make_radial_power
 from rnmlab.sampler import (SamplerConfig, collect_mcmc, mcmc_log_ratio,
                             sample_dpp, sample_ginibre_matrix, sample_mcmc,
                             stream_rng)
 from rnmlab.statistics import bump, trace_statistic
+
+from conftest import spline_field
 
 
 def test_sampler_config_validation():
@@ -97,17 +98,10 @@ def test_radial_law_matches_kostlan_mixture(p):
                          - u)) <= 1e-12
 
 
-def _spline_field():
-    # q = r^2/2 + r^4/4 tabulated and splined, as the CLI builds a custom field
-    r = np.linspace(0.0, 6.0, 600)
-    return make_custom_radial(CubicSpline(r, r**2 / 2 + r**4 / 4), CubicSpline(r, r + r**3),
-                              CubicSpline(r, 1.0 + 3.0 * r**2), 10.0, name="spline")
-
-
 @pytest.mark.parametrize("field, seed", [("power2", 41), ("spline", 42)])
 def test_dpp_mean_square_sum_exact(field, seed):
     # E sum |z|^2 = sum_k E|z|^2 under mode k = sum_{k<n} h_{k+1} / h_k
-    pot = make_radial_power(2) if field == "power2" else _spline_field()
+    pot = make_radial_power(2) if field == "power2" else spline_field()
     n, m = 8, 8.0
     kern = weighted_kernel(pot, m, n)
     cfg = SamplerConfig(master_seed=seed)
