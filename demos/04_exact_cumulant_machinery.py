@@ -25,12 +25,18 @@ print(f"  opposite cross       L'' = {p.L_opposite.real:+.12f}  (exact 1)")
 
 pot = make_ginibre()
 g = bump(0.0, 0.5)
+g_off = bump(0.3 + 0.2j, 0.5)  # not radial; its support stays in the bulk
 v_pred = variance_prediction(g)
-print(f"\ntrace-formula cumulants of tr g, limit variance {v_pred:.4f}:")
-print(f"{'n':>5} {'C_1':>10} {'C_2':>10} {'C_3':>12} {'C_4':>12}")
+print(f"\ntrace-formula cumulants of tr g, limit variance {v_pred:.4f} "
+      f"(off-centre: {variance_prediction(g_off):.4f}):")
+print(f"{'g':>10} {'n':>5} {'C_1':>10} {'C_2':>10} {'C_3':>12} {'C_4':>12}")
 for n in (32, 64, 128):
     kern = weighted_kernel(pot, float(n), n)
     grid = default_grid(pot, float(n), n)
-    cks = [dpp_cumulant(kern, grid, g, k) for k in (1, 2, 3, 4)]
-    print(f"{n:>5} {cks[0]:>10.4f} {cks[1]:>10.4f} {cks[2]:>12.2e} {cks[3]:>12.2e}")
+    for label, f in (("centred", g), ("off-centre", g_off)):
+        cks = [dpp_cumulant(kern, grid, f, k) for k in (1, 2, 3, 4)]
+        print(f"{label:>10} {n:>5} {cks[0]:>10.4f} {cks[1]:>10.4f} "
+              f"{cks[2]:>12.2e} {cks[3]:>12.2e}")
 print("C_2 climbs to the Dirichlet limit; C_3, C_4 decay (Gaussianity).")
+print("The off-centre bump is the field case of the theorem: its moment matrices")
+print("come from an angular FFT of g^p on each ring of the polar grid.")

@@ -345,6 +345,9 @@ def cmd_clt(cfg, args, rep: Reporter) -> int:
 
 
 def cmd_cumulants(cfg, args, rep: Reporter) -> int:
+    if "m" in cfg:
+        raise ConfigError("cumulants sweeps n_list at one tau (m = n / tau for each n); "
+                          "set tau instead of m")
     pot = build_potential(cfg)
     tau = float(cfg_get(cfg, "tau", 1.0))
     n_list = cfg_get(cfg, "n_list", [32, 64, 128])

@@ -241,34 +241,65 @@ def _is_radial(g) -> bool:
     return bool(getattr(g, "radial", False))
 
 
+def _angular_moment(M, rw, h):
+    """A[j, l] = sum_r rw_r M[r, j] M[r, l] c(r, l - j) for real h on the
+    (radial node, angle) product grid, c(r, d) the mean of h e^{i d theta}
+    over ring r.  A is Hermitian, so it is filled from its diagonals d >= 0;
+    frequencies alias mod n_theta exactly as the grid sum does."""
+    n, n_theta = M.shape[1], h.shape[1]
+    c = np.fft.ifft(h, axis=1) * rw[:, None]
+    A = np.empty((n, n), dtype=complex)
+    j = np.arange(n)
+    for d in range(n):
+        diag = (M[:, :n - d] * M[:, d:]).T @ c[:, d % n_theta]
+        A[j[d:], j[:n - d]] = np.conj(diag)
+        A[j[:n - d], j[d:]] = diag
+    return A
+
+
 def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int) -> float:
     """Exact finite-n cumulant C_k of the linear statistic of g, any k >= 1:
     k! times the lambda^k coefficient of the Fredholm log-determinant
     log E e^{lambda sum g} = log det(I + sum_{p>=1} lambda^p A_p / p!).
 
-    The moment matrices A_p = F^H diag(g^p) F come from the weighted feature
-    rows F on the quadrature grid (grid point x basis index, carrying
-    sqrt(w_a)).  With B_p = A_p / p! and the inverse series W_0 = I,
+    The moment matrices are the grid quadratures
+    A_p[j, l] = sum_a w_a conj(psi_j(z_a)) g(z_a)^p psi_l(z_a).  With
+    B_p = A_p / p! and the inverse series W_0 = I,
     W_q = -sum_{p<=q} B_p W_{q-p}, the derivative of the log-determinant
     gives C_k = (k-1)! sum_{p<=k} p tr(B_p W_{k-p}): O(k^2) products of
-    n x n matrices.  When both the weight and g are radial the moment
-    matrices are diagonal radial quadratures and the products elementwise.
+    n x n matrices.  A_p comes by one of three routes:
+
+    - radial basis, radial g: A_p is a diagonal radial quadrature and the
+      products are elementwise;
+    - radial basis, any other g: psi_j(r e^{i theta}) = M[r, j] e^{i j theta}
+      on the polar grid, so A_p[j, l] sums M[r, j] M[r, l] over r against
+      the FFT of g^p on ring r at frequency l - j (``_angular_moment``): the
+      same sum in another order, exact for any n_theta;
+    - general basis (``gram_schmidt_basis``): A_p = F^H diag(g^p) F from the
+      feature rows F on the grid, carrying sqrt(w_a).
+
+    The trace guard checks the kernel's grid mass, tr A_0 = n.
     """
     if k < 1:
         raise ValueError("cumulant order must be >= 1")
 
     val = _value_fn(g)
-    if kern.basis.mode == "radial" and _is_radial(g):
+    points, mul, tr = grid.nodes, np.matmul, np.trace
+    if kern.basis.mode == "radial":
         r = grid.radial_nodes
-        # |psi_k(r)|^2 2r dr: (radial node, mode)
-        T = np.exp(2.0 * kern.log_modes(r)) * (2.0 * r * grid.radial_weights)[:, None]
+        rw = 2.0 * r * grid.radial_weights
+        logm = kern.log_modes(r)  # log|psi_j(r)|: (radial node, mode)
+        T = np.exp(2.0 * logm) * rw[:, None]
         trace = float(np.sum(T))
-        points, mul, tr = r.astype(complex), np.multiply, np.sum
-        moment = lambda h: T.T @ h  # diagonal of A_p
+        if _is_radial(g):
+            points, mul, tr = r.astype(complex), np.multiply, np.sum
+            moment = lambda h: T.T @ h  # diagonal of A_p
+        else:
+            M = np.exp(logm)
+            moment = lambda h: _angular_moment(M, rw, h.reshape(r.size, grid.n_theta))
     else:
         F = kern.features(grid.nodes) * np.sqrt(grid.weights)[:, None]
         trace = float(np.real(np.sum(np.abs(F) ** 2)))
-        points, mul, tr = grid.nodes, np.matmul, np.trace
         moment = lambda h: F.conj().T @ (h[:, None] * F)
     if abs(trace - kern.n) > 1e-4:
         raise GridResolutionError(

@@ -262,6 +262,14 @@ def test_cumulants_subcommand(tmp_path):
     assert summary["pass"] is False
 
 
+def test_cumulants_rejects_m(tmp_path, capsys):
+    # one m cannot hold for every n of the sweep, so m is refused, not ignored
+    cfg = write_config(tmp_path, "n_list = 16\nm = 32\n")
+    assert run(["cumulants", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "tau" in err
+
+
 def test_cumulants_subcommand_high_order(tmp_path):
     cfg = write_config(tmp_path, "n_list = 16\ncumulants.k_max = 8\n")
     out = tmp_path / "out"

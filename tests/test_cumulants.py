@@ -10,7 +10,8 @@ from rnmlab.cumulants import (composition_terms, compositions,
                               g_k_eval, gaussian_pair_integrals,
                               mixed_derivative_sum, s_k, stirling2,
                               stirling2_recurrence, zero_sum_identity)
-from rnmlab.orthopoly import GridResolutionError, QuadratureGrid, default_grid, weighted_kernel
+from rnmlab.orthopoly import (GridResolutionError, QuadratureGrid, WeightedKernel,
+                              default_grid, gram_schmidt_basis, weighted_kernel)
 from rnmlab.potential import compute_droplet, make_ginibre
 from rnmlab.sampler import sample_ginibre_matrix, stream_rng
 from rnmlab.statistics import (bump, equilibrium_integral, fluct_values,
@@ -229,10 +230,10 @@ def test_radial_and_general_paths_agree(ginibre_pot):
     kern = weighted_kernel(ginibre_pot, float(n), n)
     grid = default_grid(ginibre_pot, float(n), n, n_radial=200, n_theta=64)
     g_rad = bump(0.0, 0.5)
-    g_gen = bump(0.1, 0.5)  # off-center: forces the dense moment-matrix path
+    g_gen = bump(0.1, 0.5)  # off-center: forces the full moment-matrix path
     for k in (1, 2, 3):
         fast = dpp_cumulant(kern, grid, g_rad, k)
-        # same statistic through the dense path by disabling the radial flag
+        # same statistic through the full moment matrices by disabling the radial flag
         from dataclasses import replace
         slow = dpp_cumulant(kern, grid, replace(g_rad, radial=False), k)
         assert fast == pytest.approx(slow, rel=1e-8, abs=1e-10)
@@ -279,6 +280,61 @@ def test_recursion_matches_composition_route(ginibre_pot, center, n, k_max, grid
                      for t in composition_terms(k))
         assert abs(oracle.imag) < 1e-11
         assert dpp_cumulant(kern, grid, g, k) == pytest.approx(oracle.real, rel=0, abs=1e-11)
+
+
+def _feature_route(kern, grid, g, k_max):
+    """C_1..C_k_max from A_p = F^H diag(g^p) F on the feature rows, through
+    the log-det recursion written out in full matrices."""
+    F = kern.features(grid.nodes) * np.sqrt(grid.weights)[:, None]
+    gv = np.real(g.value(grid.nodes))
+    B = [None] + [F.conj().T @ (gv[:, None] ** p * F) / math.factorial(p)
+                  for p in range(1, k_max + 1)]
+    W = [np.eye(kern.n)]
+    for q in range(1, k_max):
+        W.append(-sum(B[p] @ W[q - p] for p in range(1, q + 1)))
+    return {k: math.factorial(k - 1) * sum(p * np.trace(B[p] @ W[k - p])
+                                           for p in range(1, k + 1)).real
+            for k in range(1, k_max + 1)}
+
+
+@pytest.mark.parametrize("n, grid_kw", [
+    pytest.param(12, {"n_radial": 200, "n_theta": 16}, id="aliasing-n12-ntheta16"),
+    pytest.param(64, {}, id="default-n64"),
+])
+def test_angular_route_is_exact_reordering(ginibre_pot, n, grid_kw):
+    # the angular-FFT moment matrices are the feature-row quadrature summed
+    # in another order, so they agree to rounding even when n_theta < 2n - 1
+    kern = weighted_kernel(ginibre_pot, float(n), n)
+    grid = default_grid(ginibre_pot, float(n), n, **grid_kw)
+    g = bump(0.3 + 0.2j, 0.4)
+    oracle = _feature_route(kern, grid, g, 4)
+    for k in range(1, 5):
+        assert dpp_cumulant(kern, grid, g, k) == pytest.approx(oracle[k], rel=0, abs=1e-12)
+
+
+def test_radial_basis_never_builds_features(ginibre_pot, monkeypatch):
+    n = 16
+    kern = weighted_kernel(ginibre_pot, float(n), n)
+    grid = default_grid(ginibre_pot, float(n), n)
+
+    def no_features(self, z):
+        raise AssertionError("feature matrix built for a radial-basis kernel")
+
+    monkeypatch.setattr(WeightedKernel, "features", no_features)
+    c2 = dpp_cumulant(kern, grid, bump(0.3 + 0.2j, 0.4), 2)
+    assert 0.0 < c2 < 1.0
+
+
+def test_gram_schmidt_kernel_matches_angular_route(ginibre_pot):
+    # the feature-row route now serves only general-basis kernels
+    n = 16
+    grid = default_grid(ginibre_pot, float(n), n)
+    radial = weighted_kernel(ginibre_pot, float(n), n)
+    general = WeightedKernel(gram_schmidt_basis(ginibre_pot, float(n), n, grid), ginibre_pot)
+    g = bump(0.3 + 0.2j, 0.4)
+    for k in range(1, 5):
+        assert dpp_cumulant(general, grid, g, k) == pytest.approx(
+            dpp_cumulant(radial, grid, g, k), rel=0, abs=1e-10)
 
 
 def test_grid_gate_rejects_coarse_grid(ginibre_pot):
