@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .orthopoly import (OrthonormalBasis, QuadratureGrid, WeightedKernel,
                         UnsupportedPotentialError, _shifted_phase_sum,
@@ -184,6 +183,7 @@ def wavefunction_measure(pot: Potential, n: int,
     for radial fields, where the density is radial)."""
     if pot.radial_profile is None:
         raise UnsupportedPotentialError("wave-function profile needs a radial field")
+    from scipy.integrate import quad
     kern = weighted_kernel(pot, float(n), n)
     radius = compute_droplet(pot, 1.0).radius
 

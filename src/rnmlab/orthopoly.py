@@ -14,10 +14,8 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss as _leggauss_uncached
-from scipy.linalg import solve_triangular
-from scipy.optimize import brentq
 
-from .potential import Potential, compute_droplet
+from .potential import Potential, _solve_rdq, compute_droplet
 
 
 class DivergentNormError(ValueError):
@@ -104,19 +102,16 @@ def _norm_window(pot: Potential, m: float, n: int) -> float:
     a = 2 * n - 1
     rho = pot.growth_exponent
 
-    def slope(r):
-        return m * r * float(prof.dq(r)) - a
-
     def ell(r):
         return a * np.log(r) - m * float(prof.q(r))
 
     hi = 1.0
-    while slope(hi) <= 0.0:
+    while m * hi * float(prof.dq(hi)) <= a:
         hi *= 2.0
         if hi > 1e9:
             raise DivergentNormError(
                 f"h_{n - 1} diverges for m={m}, n={n}: need m/n > 1/rho (rho = {rho})")
-    r_peak = brentq(slope, 1e-12, hi, xtol=1e-14, rtol=8.9e-16)
+    r_peak = _solve_rdq(prof.dq, a / m, 1e-12, hi)
     floor = ell(r_peak) - 40.0
     r_cut = max(r_peak, 1e-3)
     while ell(r_cut) > floor:
@@ -190,6 +185,7 @@ def gram_schmidt_basis(pot: Potential, m: float, n: int, grid: QuadratureGrid) -
     """
     if grid.n_theta < 4 * n:
         raise ValueError(f"grid does not resolve degree {n-1}: need n_theta >= {4*n}")
+    from scipy.linalg import solve_triangular
     z = grid.nodes
     sw = np.sqrt(grid.weights) * np.exp(-0.5 * m * pot.evaluate(z))
     V = z[:, None] ** np.arange(n)[None, :] * sw[:, None]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import bisect
 
 
 class PotentialError(ValueError):
@@ -234,8 +233,19 @@ def make_custom_radial(q, dq, d2q, growth_exponent: float, name: str = "custom")
     )
 
 
+def _solve_rdq(dq, c: float, lo: float, hi: float) -> float:
+    """The smallest double r in (lo, hi] with r q'(r) >= c, by bisection to
+    adjacent doubles; r q'(r) must be increasing, below c at lo and not below
+    it at hi."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if mid * float(dq(mid)) < c else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
 def compute_droplet(pot: Potential, tau: float) -> Droplet:
-    """Disk droplet: radius solves r q'(r) = 2 tau by bisection to 1e-12.
+    """Disk droplet: radius solves r q'(r) = 2 tau, to adjacent doubles.
 
     Requires a radial profile with r q'(r) strictly increasing where probed
     (this is what guarantees the droplet is a disk).
@@ -246,11 +256,8 @@ def compute_droplet(pot: Potential, tau: float) -> Droplet:
         raise PotentialError(f"tau must lie in (0, growth_exponent), got {tau}")
     dq = pot.radial_profile.dq
 
-    def balance(r):
-        return r * float(dq(r)) - 2.0 * tau
-
     r_max = 10.0 * np.sqrt(2.0 * tau)
-    while balance(r_max) <= 0.0:
+    while r_max * float(dq(r_max)) <= 2.0 * tau:
         r_max *= 2.0
         if r_max > 1e6:
             raise PotentialError(
@@ -264,7 +271,7 @@ def compute_droplet(pot: Potential, tau: float) -> Droplet:
         raise DropletGeometryError(
             f"unsupported droplet geometry: r q'(r) decreases near r = {probe[i]:.4g}")
 
-    radius = float(bisect(balance, 1e-9, r_max, xtol=1e-12))
+    radius = _solve_rdq(dq, 2.0 * tau, 1e-9, r_max)
 
     lap_probe = pot.laplacian(np.linspace(0.25 * radius, 2.0 * radius, 257).astype(complex))
     if np.any(np.asarray(lap_probe) <= 0.0):

@@ -25,7 +25,7 @@ from .potential import Potential, compute_droplet
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs shared by the samplers; defaults are calibrated so the |z|^2
-    field at n = 16 runs near 40% Metropolis acceptance."""
+    field at n = 16 runs near 60% Metropolis acceptance."""
 
     master_seed: int = 0
     burn_in_sweeps: int = 2000

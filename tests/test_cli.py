@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,3 +304,27 @@ def test_berezin_subcommand(tmp_path):
     names = {c["name"] for c in summary["checks"]}
     assert any(name.startswith("berezin_mass") for name in names)
     assert "pinned_identity_residual" in names
+
+
+def test_ginibre_cli_loads_no_scipy(tmp_path):
+    # a fresh interpreter: the test session itself has SciPy loaded
+    (tmp_path / "exp.cfg").write_text("n = 8\n")
+    script = textwrap.dedent(f"""
+        import sys
+        import rnmlab, rnmlab.cli
+
+        def scipy_modules(step):
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, f"{{step}} loaded {{loaded[:5]}}"
+
+        scipy_modules("import")
+        assert rnmlab.cli.run(["identities", "--out", {str(tmp_path / "id")!r}]) == 0
+        scipy_modules("identities")
+        assert rnmlab.cli.run(["kernel", "--config", {str(tmp_path / "exp.cfg")!r},
+                               "--out", {str(tmp_path / "kernel")!r}]) == 0
+        scipy_modules("kernel")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from rnmlab.potential import (DropletGeometryError, PotentialError,
+from rnmlab.potential import (DropletGeometryError, PotentialError, _solve_rdq,
                               compute_droplet, make_custom_radial,
                               make_ginibre, make_radial_power)
 from scipy.integrate import quad
+from scipy.optimize import brentq
+
+from conftest import spline_field
 
 
 def test_ginibre_values():
@@ -103,11 +106,38 @@ def test_laplacian_finite_difference_consistency():
 def test_ginibre_droplet_radius_scaling(tau):
     drop = compute_droplet(make_ginibre(), tau)
     assert drop.radius == pytest.approx(np.sqrt(tau), abs=1e-11)
+    assert abs(drop.radius / np.sqrt(tau) - 1.0) <= 1e-15
 
 
 def test_quartic_droplet_radius():
     drop = compute_droplet(make_radial_power(2), 1.0)
     assert drop.radius == pytest.approx(2.0 ** -0.25, abs=1e-11)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+def test_power_droplet_radius_to_full_precision(p, tau):
+    radius = compute_droplet(make_radial_power(p), tau).radius
+    assert abs(radius / (tau / p) ** (1.0 / (2 * p)) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("pot", [make_ginibre(), make_radial_power(2), spline_field()],
+                         ids=lambda pot: pot.name)
+def test_rdq_solve_matches_brentq(pot):
+    # scipy's brentq on r q'(r) - c is the oracle for both roots the package
+    # takes: the droplet radius (c = 2 tau) and the peak of the norm window's
+    # integrand r^{2n-1} e^{-m q} (c = (2n - 1) / m)
+    dq = pot.radial_profile.dq
+
+    def oracle(c):
+        return brentq(lambda r: r * float(dq(r)) - c, 1e-12, 4.0, xtol=1e-15, rtol=8.9e-16)
+
+    for tau in (0.25, 1.0, 2.0):
+        radius = compute_droplet(pot, tau).radius
+        assert radius == pytest.approx(oracle(2.0 * tau), rel=1e-13)
+    for m, n in ((16.0, 16), (32.0, 16), (64.0, 64), (4.0, 3), (1.0, 1)):
+        c = (2 * n - 1) / m
+        assert _solve_rdq(dq, c, 1e-12, 4.0) == pytest.approx(oracle(c), rel=1e-13)
 
 
 @pytest.mark.parametrize("pot,tau", [
