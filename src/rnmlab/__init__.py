@@ -20,12 +20,10 @@ from .orthopoly import (
     OrthonormalBasis,
     WeightedKernel,
     DivergentNormError,
-    RankLossError,
     UnsupportedPotentialError,
     GridResolutionError,
     default_grid,
     radial_norms,
-    gram_schmidt_basis,
     weighted_kernel,
     diagonal_expansion_residual,
     offdiagonal_decay_profile,

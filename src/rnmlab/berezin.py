@@ -13,8 +13,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .orthopoly import (OrthonormalBasis, QuadratureGrid, WeightedKernel,
-                        UnsupportedPotentialError, _shifted_phase_sum,
-                        default_grid, radial_norms, weighted_kernel)
+                        _shifted_phase_sum, default_grid, radial_norms,
+                        weighted_kernel)
 from .potential import Potential, compute_droplet, make_ginibre
 
 
@@ -40,16 +40,13 @@ class BerezinKernel:
     def density_grid(self, radii, thetas) -> np.ndarray:
         """Density on the product grid radii x thetas, shape (n_r, n_theta).
 
-        For radial weights the anchored kernel factorizes into a
-        (radius x mode) @ (mode x angle) product, which is far cheaper than
-        point-wise evaluation on large grids.
+        The anchored kernel factorizes into a (radius x mode) @ (mode x angle)
+        product, which is far cheaper than point-wise evaluation on large
+        grids.
         """
         radii = np.asarray(radii, dtype=float)
         thetas = np.asarray(thetas, dtype=float)
         kern = self.kernel
-        if kern.basis.mode != "radial":
-            w = radii[:, None] * np.exp(1j * thetas)[None, :]
-            return self.density(w)
         k = np.arange(kern.n)
         th0 = np.angle(self.anchor) if self.anchor != 0 else 0.0
         logmag = kern.log_modes(self.anchor) + kern.log_modes(radii)
@@ -119,7 +116,7 @@ def conditional_basis(pot: Potential, n: int) -> OrthonormalBasis:
     origin: weight |z|^2 e^{-nQ}, whose monomial norms are the base norms
     shifted by one degree."""
     base = radial_norms(pot, float(n), n)
-    return OrthonormalBasis(m=float(n), n=n - 1, mode="radial", potential=pot,
+    return OrthonormalBasis(m=float(n), n=n - 1, potential=pot,
                             log_norms=base.log_norms[1:].copy())
 
 
@@ -138,8 +135,6 @@ def conditional_identity_check(pot: Potential, n: int,
                                grid: Optional[QuadratureGrid] = None) -> float:
     """Max-grid residual of the pinned-process identity
     B^{<0>}(z) = R1_n(z) - R1tilde_{n-1}(z)  for a radial field, anchor 0."""
-    if pot.radial_profile is None:
-        raise UnsupportedPotentialError("conditional ensemble needs a radial field")
     kern = weighted_kernel(pot, float(n), n)
     if grid is None:
         grid = default_grid(pot, float(n), n)
@@ -181,8 +176,6 @@ def wavefunction_measure(pot: Potential, n: int,
     orthonormal polynomial for weight e^{-nQ}: total mass, mass in the ring
     | |z| - R | < halfwidth, and the angular uniformity defect (identically 0
     for radial fields, where the density is radial)."""
-    if pot.radial_profile is None:
-        raise UnsupportedPotentialError("wave-function profile needs a radial field")
     from scipy.integrate import quad
     kern = weighted_kernel(pot, float(n), n)
     radius = compute_droplet(pot, 1.0).radius

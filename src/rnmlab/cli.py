@@ -5,8 +5,8 @@ Config files are flat ``key = value`` text with dotted section names
 (``sampler.thin_stride = 20``); see the README for the schema.  Every check a
 subcommand performs is emitted with its prediction and tolerance, and the
 process exits 0 only if all enabled checks pass (1 on check failure, 2 on
-configuration errors, 3 on numerical failures: rank loss, an unresolved grid or
-a floating-point error).  Identical config + seed gives byte-identical outputs.
+configuration errors, 3 on numerical failures: an unresolved grid or a
+floating-point error).  Identical config + seed gives byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import numpy as np
 from . import berezin as bz
 from . import cumulants as cu
 from . import statistics as st
-from .orthopoly import (GridResolutionError, RankLossError, default_grid,
-                        fit_decay_rate, offdiagonal_decay_profile,
-                        weighted_kernel)
+from .orthopoly import (GridResolutionError, default_grid, fit_decay_rate,
+                        offdiagonal_decay_profile, weighted_kernel)
 from .potential import compute_droplet, make_custom_radial, make_ginibre, make_radial_power
 from .sampler import (SamplerConfig, collect_mcmc, sample_dpp,
                       sample_ginibre_matrix, stream_rng)
@@ -490,7 +489,7 @@ def run(argv=None) -> int:
         cfg = parse_config(args.config) if args.config else {}
         rep = Reporter(args.out, args.subcommand, args.gnuplot)
         return COMMANDS[args.subcommand](cfg, args, rep)
-    except (RankLossError, GridResolutionError, FloatingPointError) as exc:
+    except (GridResolutionError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

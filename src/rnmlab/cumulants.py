@@ -267,16 +267,14 @@ def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int) -> float
     B_p = A_p / p! and the inverse series W_0 = I,
     W_q = -sum_{p<=q} B_p W_{q-p}, the derivative of the log-determinant
     gives C_k = (k-1)! sum_{p<=k} p tr(B_p W_{k-p}): O(k^2) products of
-    n x n matrices.  A_p comes by one of three routes:
+    n x n matrices.  psi_j(r e^{i theta}) = M[r, j] e^{i j theta} on the
+    polar grid, so A_p comes by one of two routes:
 
-    - radial basis, radial g: A_p is a diagonal radial quadrature and the
-      products are elementwise;
-    - radial basis, any other g: psi_j(r e^{i theta}) = M[r, j] e^{i j theta}
-      on the polar grid, so A_p[j, l] sums M[r, j] M[r, l] over r against
-      the FFT of g^p on ring r at frequency l - j (``_angular_moment``): the
-      same sum in another order, exact for any n_theta;
-    - general basis (``gram_schmidt_basis``): A_p = F^H diag(g^p) F from the
-      feature rows F on the grid, carrying sqrt(w_a).
+    - radial g: A_p is a diagonal radial quadrature and the products are
+      elementwise;
+    - any other g: A_p[j, l] sums M[r, j] M[r, l] over r against the FFT of
+      g^p on ring r at frequency l - j (``_angular_moment``): the grid sum in
+      another order, exact for any n_theta.
 
     The trace guard checks the kernel's grid mass, tr A_0 = n.
     """
@@ -284,23 +282,18 @@ def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int) -> float
         raise ValueError("cumulant order must be >= 1")
 
     val = _value_fn(g)
-    points, mul, tr = grid.nodes, np.matmul, np.trace
-    if kern.basis.mode == "radial":
-        r = grid.radial_nodes
-        rw = 2.0 * r * grid.radial_weights
-        logm = kern.log_modes(r)  # log|psi_j(r)|: (radial node, mode)
-        T = np.exp(2.0 * logm) * rw[:, None]
-        trace = float(np.sum(T))
-        if _is_radial(g):
-            points, mul, tr = r.astype(complex), np.multiply, np.sum
-            moment = lambda h: T.T @ h  # diagonal of A_p
-        else:
-            M = np.exp(logm)
-            moment = lambda h: _angular_moment(M, rw, h.reshape(r.size, grid.n_theta))
+    r = grid.radial_nodes
+    rw = 2.0 * r * grid.radial_weights
+    logm = kern.log_modes(r)  # log|psi_j(r)|: (radial node, mode)
+    T = np.exp(2.0 * logm) * rw[:, None]
+    trace = float(np.sum(T))
+    if _is_radial(g):
+        points, mul, tr = r.astype(complex), np.multiply, np.sum
+        moment = lambda h: T.T @ h  # diagonal of A_p
     else:
-        F = kern.features(grid.nodes) * np.sqrt(grid.weights)[:, None]
-        trace = float(np.real(np.sum(np.abs(F) ** 2)))
-        moment = lambda h: F.conj().T @ (h[:, None] * F)
+        points, mul, tr = grid.nodes, np.matmul, np.trace
+        M = np.exp(logm)
+        moment = lambda h: _angular_moment(M, rw, h.reshape(r.size, grid.n_theta))
     if abs(trace - kern.n) > 1e-4:
         raise GridResolutionError(
             f"grid too coarse: trace {trace:.6f} deviates from n = {kern.n}")

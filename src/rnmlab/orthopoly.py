@@ -22,10 +22,6 @@ class DivergentNormError(ValueError):
     """Monomial norm integral diverges: the n/m window exceeds the growth rate."""
 
 
-class RankLossError(ValueError):
-    """Gram-Schmidt pivot collapsed below the working precision."""
-
-
 class UnsupportedPotentialError(ValueError):
     """Operation needs field data (radial profile, polarization) that is absent."""
 
@@ -84,7 +80,7 @@ def default_grid(pot: Potential, m: float, n: int,
     """Grid sized for a degree-(n-1) kernel at weight e^{-mQ}: [0, 2R], widened
     to the window of the radial norms (``_norm_window``) where that is wider."""
     r_cut = 2.0 * compute_droplet(pot, n / m).radius
-    if pot.radial_profile is not None and n >= 1:
+    if n >= 1:
         r_cut = max(r_cut, _norm_window(pot, m, n))
     if n_theta is None:
         n_theta = max(256, 4 * n)
@@ -128,24 +124,21 @@ _PANELS = 512  # panels of the composite radial rule on [0, _norm_window]
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
-    """Orthonormal basis of analytic polynomials of degree < n for e^{-mQ}.
-
-    Radial mode stores log of the squared monomial norms h_k (phi_k is then
-    z^k / sqrt(h_k)); general mode stores a lower-triangular coefficient
-    matrix C with phi_j = sum_k C[j, k] z^k.
-    """
+    """Orthonormal basis of analytic polynomials of degree < n for a radial
+    weight e^{-mQ}: phi_k = z^k / sqrt(h_k), stored as log h_k, the log of
+    the squared monomial norms."""
 
     m: float
     n: int
-    mode: str
     potential: Potential
-    log_norms: Optional[np.ndarray] = None
-    coeffs: Optional[np.ndarray] = None
+    log_norms: np.ndarray
+
+    # A class attribute, not a field: the benchmark's span tracer
+    # (bench/tracer.py) still reads ``basis.mode`` to name a cumulant path.
+    mode = "radial"
 
     @property
     def norms(self) -> np.ndarray:
-        if self.log_norms is None:
-            raise ValueError("norms are only stored in radial mode")
         return np.exp(self.log_norms)
 
 
@@ -172,54 +165,7 @@ def radial_norms(pot: Potential, m: float, n: int) -> OrthonormalBasis:
         k = np.arange(lo, min(n, lo + step))
         L, s = _shifted_phase_sum(base + k[:, None] * lr2)
         logs[lo:lo + step] = L + np.log(s)
-    return OrthonormalBasis(m=float(m), n=int(n), mode="radial",
-                            potential=pot, log_norms=logs)
-
-
-def gram_schmidt_basis(pot: Potential, m: float, n: int, grid: QuadratureGrid) -> OrthonormalBasis:
-    """Modified Gram-Schmidt on monomials under the grid inner product.
-
-    The grid must resolve degree n-1 (n_theta >= 4n).  Intended for the
-    general-Q path at moderate m; the radial route is preferred when a
-    profile is available.
-    """
-    if grid.n_theta < 4 * n:
-        raise ValueError(f"grid does not resolve degree {n-1}: need n_theta >= {4*n}")
-    from scipy.linalg import solve_triangular
-    z = grid.nodes
-    sw = np.sqrt(grid.weights) * np.exp(-0.5 * m * pot.evaluate(z))
-    V = z[:, None] ** np.arange(n)[None, :] * sw[:, None]
-
-    Q = np.empty_like(V)
-    R = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        v = V[:, j].copy()
-        for i in range(j):
-            R[i, j] = np.vdot(Q[:, i], v)
-            v -= R[i, j] * Q[:, i]
-        piv = np.linalg.norm(v)
-        if piv < 1e-13 * abs(R[0, 0]):
-            raise RankLossError(
-                f"pivot {piv:.3e} at degree {j} below 1e-13 of leading norm; "
-                "use a smaller n or higher precision accumulation")
-        R[j, j] = piv
-        Q[:, j] = v / piv
-
-    inv_r = solve_triangular(R, np.eye(n, dtype=complex))
-    basis = OrthonormalBasis(m=float(m), n=int(n), mode="general",
-                             potential=pot, coeffs=inv_r.T.copy())
-    resid = orthonormality_residual(basis, grid)
-    if resid > 1e-8:
-        raise RankLossError(f"orthonormality residual {resid:.2e} exceeds 1e-8")
-    return basis
-
-
-def orthonormality_residual(basis: OrthonormalBasis, grid: QuadratureGrid) -> float:
-    """max_{j,k} |<phi_j, phi_k>_grid - delta_{jk}|."""
-    kern = WeightedKernel(basis, basis.potential)
-    F = kern.features(grid.nodes) * np.sqrt(grid.weights)[:, None]
-    gram = F.conj().T @ F
-    return float(np.max(np.abs(gram - np.eye(basis.n))))
+    return OrthonormalBasis(m=float(m), n=int(n), potential=pot, log_norms=logs)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +214,9 @@ class WeightedKernel:
     # -- radial modes ---------------------------------------------------------
 
     def log_modes(self, z):
-        """log|psi_k(z)| = k log|z| - (1/2) log h_k - (m/2) Q(z) for a radial
-        basis, shape z.shape + (n,); psi_k(z) = z^k e^{-mQ(z)/2} / sqrt(h_k)."""
+        """log|psi_k(z)| = k log|z| - (1/2) log h_k - (m/2) Q(z), shape
+        z.shape + (n,); psi_k(z) = z^k e^{-mQ(z)/2} / sqrt(h_k)."""
         b = self.basis
-        if b.mode != "radial":
-            raise UnsupportedPotentialError("log_modes needs a radial basis")
         z = np.asarray(z, dtype=complex)
         k = np.arange(b.n)
         lr = np.asarray(_safe_log(np.abs(z)))
@@ -303,25 +247,15 @@ class WeightedKernel:
         return self._by_rows(self._features_chunk, complex, z, width=(self.n,))
 
     def _features_chunk(self, z):
-        b = self.basis
-        if b.mode == "radial":
-            k = np.arange(b.n)
-            return np.exp(self.log_modes(z)) * np.exp(1j * k * np.angle(z)[:, None])
-        V = z[:, None] ** np.arange(b.n)[None, :]
-        phi = V @ b.coeffs.T
-        return phi * np.exp(-0.5 * b.m * np.asarray(b.potential.evaluate(z), dtype=float))[:, None]
+        k = np.arange(self.n)
+        return np.exp(self.log_modes(z)) * np.exp(1j * k * np.angle(z)[:, None])
 
     # -- kernel values ------------------------------------------------------
 
     def log_weighted(self, z, w):
         """(log|.|, arg) of the weighted kernel; safe at any magnitude."""
-        if self.basis.mode == "radial":
-            out = self._by_rows(self._log_weighted_chunk, complex, z, w)
-            return out.real, out.imag
-        z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
-        val = np.sum(self.features(z) * np.conj(self.features(w)), axis=-1)
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(val)), np.angle(val)
+        out = self._by_rows(self._log_weighted_chunk, complex, z, w)
+        return out.real, out.imag
 
     def _log_weighted_chunk(self, z, w):
         phase = np.arange(self.n) * (np.angle(z) - np.angle(w))[:, None]
@@ -336,11 +270,7 @@ class WeightedKernel:
         return np.exp(logabs) * np.exp(1j * phase)
 
     def log_one_point(self, z):
-        if self.basis.mode == "radial":
-            return self._by_rows(self._log_one_point_chunk, float, z)
-        feats = self.features(z)
-        with np.errstate(divide="ignore"):
-            return np.log(np.sum(np.abs(feats) ** 2, axis=-1))
+        return self._by_rows(self._log_one_point_chunk, float, z)
 
     def _log_one_point_chunk(self, z):
         logmag = self.log_modes(z)
@@ -404,8 +334,6 @@ class RadialLaw:
 
     @classmethod
     def of(cls, kern: WeightedKernel) -> "RadialLaw":
-        if kern.basis.mode != "radial":
-            raise UnsupportedPotentialError("the radial law needs a radial basis")
         pot, m, n = kern.potential, kern.m, kern.n
         edges = np.linspace(0.0, _norm_window(pot, m, n), _PANELS + 1)
         table = np.concatenate([[0.0], np.cumsum(_law_mass(kern, edges[:-1], edges[1:])[0])])
@@ -441,14 +369,10 @@ class RadialLaw:
         return np.sqrt(s)
 
 
-def weighted_kernel(pot: Potential, m: float, n: int,
-                    grid: Optional[QuadratureGrid] = None) -> WeightedKernel:
-    """Kernel via radial norms when a profile exists, else grid Gram-Schmidt."""
-    if pot.radial_profile is not None:
-        return WeightedKernel(radial_norms(pot, m, n), pot)
-    if grid is None:
-        raise UnsupportedPotentialError("general-Q kernel needs an explicit grid")
-    return WeightedKernel(gram_schmidt_basis(pot, m, n, grid), pot)
+def weighted_kernel(pot: Potential, m: float, n: int) -> WeightedKernel:
+    """Kernel of the radial norms; a field without a radial profile raises
+    UnsupportedPotentialError."""
+    return WeightedKernel(radial_norms(pot, m, n), pot)
 
 
 def diagonal_expansion_residual(kern: WeightedKernel, z) -> float:

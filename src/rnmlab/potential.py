@@ -63,7 +63,7 @@ class Potential:
             raise PotentialError("need a radial profile for the finite-difference "
                                  "subleading term")
         r = np.abs(z)
-        h = 1e-4 if step is None else step
+        h = 1e-3 if step is None else step
 
         def log_lap(rr):
             val = self.laplacian(rr.astype(complex))
@@ -282,7 +282,7 @@ def compute_droplet(pot: Potential, tau: float) -> Droplet:
         inside = np.abs(z) <= radius
         return np.where(inside, pot.laplacian(z) / tau, 0.0)
 
-    fd_step = 1e-4 * radius
+    fd_step = 1e-3 * radius
 
     def nu_density(z):
         z = _as_complex(z)

@@ -84,8 +84,8 @@ def sample_dpp(kern: WeightedKernel, cfg: SamplerConfig,
     density is then ||P psi(z)||^2 / (n - i), the exact conditional
     intensity, so there is no envelope to estimate; the expected number of
     proposals is n H_n.  The accepted feature vector joins the basis by
-    Gram-Schmidt.  A kernel without a radial basis raises
-    UnsupportedPotentialError.
+    Gram-Schmidt.  Every kernel has a radial basis: ``weighted_kernel``
+    rejects a field without a radial profile (UnsupportedPotentialError).
     """
     law = kern.radial_law
     n = kern.n

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from rnmlab.berezin import (AnchorError, berezin_density, berezin_kernel,
                             exterior_harmonic_measure_check,
                             exterior_poisson_density, limit_kernel_modulus,
                             rescaled_kernel, wavefunction_measure)
-from rnmlab.orthopoly import default_grid, radial_norms, weighted_kernel
+from rnmlab.orthopoly import (UnsupportedPotentialError, default_grid,
+                              radial_norms, weighted_kernel)
 from rnmlab.potential import make_ginibre, make_radial_power
 from rnmlab.statistics import bump
 
@@ -176,6 +179,21 @@ def test_wavefunction_angular_uniformity(pot):
     # |z|^{2(n-1)} e^{-nQ} is radial, so the angular marginal is uniform
     prof = wavefunction_measure(pot, 32)
     assert prof.angular_uniformity == 0.0
+
+
+# ---------------------------------------------------------------------------
+# fields without a radial profile
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: weighted_kernel(p, 8.0, 8),
+    lambda p: conditional_identity_check(p, 8),
+    lambda p: wavefunction_measure(p, 8),
+], ids=["weighted_kernel", "conditional_identity_check", "wavefunction_measure"])
+def test_field_without_radial_profile_is_rejected(pot, build):
+    # radial_norms is the one place that rejects such a field
+    with pytest.raises(UnsupportedPotentialError):
+        build(replace(pot, radial_profile=None))
 
 
 # ---------------------------------------------------------------------------

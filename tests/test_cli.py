@@ -10,7 +10,7 @@ import pytest
 
 from rnmlab.cli import (ConfigError, build_potential, cfg_get, parse_config,
                         run)
-from rnmlab.orthopoly import DivergentNormError, GridResolutionError, RankLossError
+from rnmlab.orthopoly import DivergentNormError, GridResolutionError
 
 
 def write_config(tmp_path, text):
@@ -233,7 +233,6 @@ def test_kernel_nan_residual_fails_check(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("error, code, label", [
-    (RankLossError("pivot collapsed"), 3, "numerical failure"),
     (GridResolutionError("grid too coarse"), 3, "numerical failure"),
     (FloatingPointError("density came out negative"), 3, "numerical failure"),
     (DivergentNormError("norm diverges"), 2, "configuration error"),

@@ -11,7 +11,7 @@ from rnmlab.cumulants import (composition_terms, compositions,
                               mixed_derivative_sum, s_k, stirling2,
                               stirling2_recurrence, zero_sum_identity)
 from rnmlab.orthopoly import (GridResolutionError, QuadratureGrid, WeightedKernel,
-                              default_grid, gram_schmidt_basis, weighted_kernel)
+                              default_grid, weighted_kernel)
 from rnmlab.potential import compute_droplet, make_ginibre
 from rnmlab.sampler import sample_ginibre_matrix, stream_rng
 from rnmlab.statistics import (bump, equilibrium_integral, fluct_values,
@@ -323,18 +323,6 @@ def test_radial_basis_never_builds_features(ginibre_pot, monkeypatch):
     monkeypatch.setattr(WeightedKernel, "features", no_features)
     c2 = dpp_cumulant(kern, grid, bump(0.3 + 0.2j, 0.4), 2)
     assert 0.0 < c2 < 1.0
-
-
-def test_gram_schmidt_kernel_matches_angular_route(ginibre_pot):
-    # the feature-row route now serves only general-basis kernels
-    n = 16
-    grid = default_grid(ginibre_pot, float(n), n)
-    radial = weighted_kernel(ginibre_pot, float(n), n)
-    general = WeightedKernel(gram_schmidt_basis(ginibre_pot, float(n), n, grid), ginibre_pot)
-    g = bump(0.3 + 0.2j, 0.4)
-    for k in range(1, 5):
-        assert dpp_cumulant(general, grid, g, k) == pytest.approx(
-            dpp_cumulant(radial, grid, g, k), rel=0, abs=1e-10)
 
 
 def test_grid_gate_rejects_coarse_grid(ginibre_pot):

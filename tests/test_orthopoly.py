@@ -4,11 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from rnmlab.orthopoly import (DivergentNormError, QuadratureGrid, WeightedKernel,
+from rnmlab.orthopoly import (DivergentNormError, QuadratureGrid,
                               UnsupportedPotentialError, bergman_approx,
                               default_grid, diagonal_expansion_residual,
-                              fit_decay_rate, gram_schmidt_basis,
-                              nystrom_matrix, offdiagonal_decay_profile,
+                              fit_decay_rate, nystrom_matrix, offdiagonal_decay_profile,
                               radial_norms, weighted_kernel)
 from rnmlab.potential import make_custom_radial, make_ginibre, make_radial_power
 
@@ -103,33 +102,14 @@ def test_radial_monomials_orthogonal_on_grid():
 
 
 # ---------------------------------------------------------------------------
-# Gram-Schmidt basis
+# kernel evaluation
 
 
-def test_gram_schmidt_diagonal_matches_radial_norms():
-    pot = make_ginibre()
-    m, n = 8.0, 8
-    grid = default_grid(pot, m, n, n_radial=200, n_theta=max(64, 4 * n))
-    gs = gram_schmidt_basis(pot, m, n, grid)
-    rad = radial_norms(pot, m, n)
-    diag = np.abs(np.diag(gs.coeffs))
-    assert np.allclose(diag, np.exp(-0.5 * rad.log_norms), atol=1e-8)
-    off = gs.coeffs - np.diag(np.diag(gs.coeffs))
-    assert np.max(np.abs(off)) < 1e-8
-
-
-def test_gram_schmidt_n1_constant():
-    pot = make_ginibre()
-    grid = default_grid(pot, 4.0, 1, n_radial=100, n_theta=16)
-    gs = gram_schmidt_basis(pot, 4.0, 1, grid)
-    assert gs.coeffs[0, 0] == pytest.approx(np.exp(-0.5 * radial_norms(pot, 4.0, 1).log_norms[0]), rel=1e-10)
-
-
-def test_gram_schmidt_kernel_matches_closed_form():
+def test_kernel_matches_closed_form():
+    # the complex off-diagonal kernel, phase included
     pot = make_ginibre()
     m = n = 8
-    grid = default_grid(pot, float(m), n, n_radial=200, n_theta=64)
-    kern = WeightedKernel(gram_schmidt_basis(pot, float(m), n, grid), pot)
+    kern = weighted_kernel(pot, float(m), n)
     pts = np.linspace(-0.8, 0.8, 5)
     zs = (pts[:, None] + 1j * pts[None, :]).ravel()[:5]
     ws = (pts[None, :] - 1j * pts[:, None]).ravel()[:5]
@@ -139,17 +119,6 @@ def test_gram_schmidt_kernel_matches_closed_form():
                              for k in range(n))
             closed *= np.exp(-0.5 * m * (abs(z) ** 2 + abs(w) ** 2))
             assert kern.weighted(z, w) == pytest.approx(closed, abs=1e-7)
-
-
-def test_gram_schmidt_requires_resolving_grid():
-    pot = make_ginibre()
-    grid = QuadratureGrid.disk(2.0, n_radial=100, n_theta=16)
-    with pytest.raises(ValueError, match="n_theta"):
-        gram_schmidt_basis(pot, 8.0, 8, grid)
-
-
-# ---------------------------------------------------------------------------
-# kernel evaluation
 
 
 def test_kernel_at_origin_is_m(kern16):

@@ -47,8 +47,9 @@ def test_custom_radial_quartic_laplacian():
 
 def test_custom_subleading_at_origin():
     # q = r^2/2 + r^4/4: quarter-Laplacian 1/2 + r^2, and the subleading
-    # density (1/2) lap log lap Q / 4 is 1 / (4 (1/2 + r^2)^2), finite at 0
-    pot = make_custom_radial(
+    # density (1/2) lap log lap Q / 4 is 1 / (4 (1/2 + r^2)^2), finite at 0;
+    # the same profile in closed form and splined as the CLI builds it
+    poly = make_custom_radial(
         q=lambda r: np.asarray(r) ** 2 / 2.0 + np.asarray(r) ** 4 / 4.0,
         dq=lambda r: np.asarray(r) + np.asarray(r) ** 3,
         d2q=lambda r: 1.0 + 3.0 * np.asarray(r) ** 2,
@@ -56,8 +57,11 @@ def test_custom_subleading_at_origin():
     )
     r = np.array([0.0, 1e-3, 0.1])
     exact = 1.0 / (4.0 * (0.5 + r**2) ** 2)
-    assert np.allclose(pot.subleading_density(r.astype(complex)), exact, rtol=1e-7)
-    assert pot.subleading_density(0.0) == pytest.approx(1.0, rel=1e-7)
+    for pot in (poly, spline_field()):
+        vals = pot.subleading_density(r.astype(complex))
+        assert np.allclose(vals, exact, rtol=1e-7)
+        assert np.max(np.abs(vals - exact)) <= 1e-9
+        assert pot.subleading_density(0.0) == pytest.approx(1.0, rel=1e-7)
 
 
 def test_custom_radial_matches_ginibre():

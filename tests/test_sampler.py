@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, gamma, ks_2samp
 
-from rnmlab.orthopoly import (GridResolutionError, UnsupportedPotentialError,
-                              WeightedKernel, default_grid, gram_schmidt_basis,
+from rnmlab.orthopoly import (GridResolutionError, WeightedKernel,
                               radial_norms, weighted_kernel)
 from rnmlab.potential import make_ginibre, make_radial_power
 from rnmlab.sampler import (SamplerConfig, collect_mcmc, mcmc_log_ratio,
@@ -112,14 +111,6 @@ def test_dpp_mean_square_sum_exact(field, seed):
     exact = float(np.sum(h[1:] / h[:-1]))
     mcse = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - exact) <= 3.0 * mcse
-
-
-def test_dpp_needs_radial_kernel():
-    pot = make_ginibre()
-    grid = default_grid(pot, 4.0, 4)
-    kern = WeightedKernel(gram_schmidt_basis(pot, 4.0, 4, grid), pot)
-    with pytest.raises(UnsupportedPotentialError):
-        sample_dpp(kern, SamplerConfig(), stream_rng(0, 0))
 
 
 def test_radial_law_trace_guard():
