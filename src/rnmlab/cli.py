@@ -154,6 +154,8 @@ def draw_samples(cfg: dict, pot, m, n, seed: int, count: int, threads: int):
     chains = int(cfg_get(cfg, "chains", 1))
     if chains < 1:
         raise ConfigError(f"chains must be >= 1, got {chains}")
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
     scfg = sampler_config(cfg, seed)
     per = [count // chains + (1 if i < count % chains else 0) for i in range(chains)]
 
@@ -293,8 +295,7 @@ def cmd_sample(cfg, args, rep: Reporter) -> int:
     m, n, _ = resolve_mn(cfg)
     seed = require_seed(cfg, args)
     count = int(cfg_get(cfg, "samples", 100))
-    threads = args.threads
-    samples, kind = draw_samples(cfg, pot, m, n, seed, count, threads)
+    samples, kind = draw_samples(cfg, pot, m, n, seed, count, args.threads)
     fmt = str(cfg_get(cfg, "output.format", "csv")).lower()
     if fmt == "csv":
         rows = [[i, j, z.real, z.imag]
@@ -310,11 +311,14 @@ def cmd_sample(cfg, args, rep: Reporter) -> int:
                                     sort_keys=True) + "\n")
     else:
         raise ConfigError(f"unknown output.format {fmt!r}")
-    rates = [c.meta.get("acceptance_rate") for c in samples
-             if "acceptance_rate" in c.meta]
+    # a chain's last configuration carries its whole-chain acceptance rate;
+    # samples come in chain order, so the dict keeps that order
+    last = {c.meta["chain_index"]: c.meta["acceptance_rate"] for c in samples
+            if "acceptance_rate" in c.meta}
+    rates = list(last.values())
     meta = {"schema_version": SCHEMA_VERSION, "seed": seed,
             "potential": pot.name, "m": m, "n": n, "sampler": kind,
-            "samples": count,
+            "samples": count, "acceptance_rate_per_chain": rates,
             "acceptance_rate": float(np.mean(rates)) if rates else None}
     (rep.out / "sample_metadata.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")

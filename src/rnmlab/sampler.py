@@ -159,22 +159,29 @@ def mcmc_log_ratio(points: np.ndarray, i: int, proposal: complex,
                  - m * (float(pot.evaluate(proposal)) - float(pot.evaluate(lam))))
 
 
-def _step_scale(pot: Potential, m: float, z: complex, floor: float,
-                base: float) -> float:
-    lap = max(float(pot.laplacian(z)), floor)
-    return base / np.sqrt(m * lap)
-
-
 def sample_mcmc(pot: Potential, m: float, n: int, cfg: SamplerConfig,
                 rng: np.random.Generator,
                 chain_index: int = 0) -> Iterator[PointConfiguration]:
     """Metropolis chain for the joint eigenvalue density; yields a
     configuration every thin_stride sweeps after burn-in.
 
-    A sweep is one Gaussian proposal per particle with position-dependent
-    scale proposal_scale / sqrt(m max(lap Q, floor)); because the scale moves
-    with the particle, the acceptance ratio carries the usual asymmetric-
-    proposal correction on top of the target ratio.
+    A sweep is one Gaussian proposal per particle, in index order, with
+    position-dependent scale s(z) = proposal_scale / sqrt(m max(lap Q(z), floor));
+    because the scale moves with the particle, the acceptance ratio carries the
+    usual asymmetric-proposal correction on top of the target ratio.
+
+    Particle i is still at its sweep-start position x_i when its turn comes,
+    so all but the pair term is one array over the n particles per sweep.
+    Each sweep draws ``rng.standard_normal((2, n))`` (real and imaginary
+    parts of the steps) and then ``rng.random(n)`` (the acceptance
+    uniforms u), and forms s(x), the proposals
+    y = x + s(x) sqrt(1/2) (xi_0 + i xi_1), the backward scale s(y), the field
+    term -m (Q(y) - Q(x)), the correction
+    (-|y - x|^2/s(y)^2 - 2 log s(y)) - (-|y - x|^2/s(x)^2 - 2 log s(x)) and
+    log u.  Only the pair term 2 sum_{k != i} log(|y_i - lam_k| / |x_i - lam_k|)
+    is computed in the loop over i, against the current positions lam; a
+    collision (|y_i - lam_k| = 0) is a rejection.  ``mcmc_log_ratio`` is the
+    scalar form of the target part of this ratio.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -186,32 +193,39 @@ def sample_mcmc(pot: Potential, m: float, n: int, cfg: SamplerConfig,
     # of higher power fields)
     floor = float(pot.laplacian(complex(0.5 * radius)))
 
+    def step_scale(z):
+        return cfg.proposal_scale / np.sqrt(m * np.maximum(pot.laplacian(z), floor))
+
     points = radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
     accepted = 0
-    attempted = 0
     warned = False
     sweep = 0
     while True:
-        for i in range(n):
-            s = _step_scale(pot, m, points[i], floor, cfg.proposal_scale)
-            prop = points[i] + s * np.sqrt(0.5) * complex(rng.standard_normal(),
-                                                          rng.standard_normal())
-            log_t = mcmc_log_ratio(points, i, prop, pot, m)
-            if np.isfinite(log_t):
-                s_back = _step_scale(pot, m, prop, floor, cfg.proposal_scale)
-                d2 = abs(prop - points[i]) ** 2
-                log_t += (-d2 / s_back**2 - 2.0 * np.log(s_back)) \
-                    - (-d2 / s**2 - 2.0 * np.log(s))
-            attempted += 1
-            if np.log(rng.random()) < log_t:
-                points[i] = prop
-                accepted += 1
+        start = points.copy()
+        s = step_scale(start)
+        xi = rng.standard_normal((2, n))
+        prop = start + s * np.sqrt(0.5) * (xi[0] + 1j * xi[1])
+        s_back = step_scale(prop)
+        d2 = np.abs(prop - start) ** 2
+        log_rest = (-m * (pot.evaluate(prop) - pot.evaluate(start))
+                    + (-d2 / s_back**2 - 2.0 * np.log(s_back))
+                    - (-d2 / s**2 - 2.0 * np.log(s)))
+        log_u = np.log(rng.random(n))
+        with np.errstate(divide="ignore"):  # log 0 = -inf rejects a collision
+            for i in range(n):
+                num = prop[i] - points
+                den = start[i] - points
+                num[i] = den[i] = 1.0
+                pair = 2.0 * np.sum(np.log(np.abs(num / den)))
+                if log_u[i] < pair + log_rest[i]:
+                    points[i] = prop[i]
+                    accepted += 1
         sweep += 1
         if sweep < cfg.burn_in_sweeps:
             continue
         if (sweep - cfg.burn_in_sweeps) % cfg.thin_stride:
             continue
-        rate = accepted / max(attempted, 1)
+        rate = accepted / (n * sweep)
         meta = {"sampler": "mcmc", "potential": pot.name, "m": m, "n": n,
                 "master_seed": cfg.master_seed, "chain_index": chain_index,
                 "sweep": sweep, "acceptance_rate": rate}

@@ -11,6 +11,8 @@ import pytest
 from rnmlab.cli import (ConfigError, build_potential, cfg_get, parse_config,
                         run)
 from rnmlab.orthopoly import DivergentNormError, GridResolutionError
+from rnmlab.potential import make_ginibre
+from rnmlab.sampler import SamplerConfig, collect_mcmc, stream_rng
 
 
 def write_config(tmp_path, text):
@@ -127,6 +129,33 @@ def test_sample_csv_output(tmp_path):
     assert meta["seed"] == 9
     assert meta["sampler"] == "matrix"
     assert meta["n"] == 4
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_sample_threads_below_one_is_config_error(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, "n = 4\nsamples = 3\n")
+    assert run(["sample", "--config", str(cfg), "--seed", "3",
+                "--out", str(tmp_path / "o"), "--threads", str(threads)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: --threads must be >= 1, got {threads}")
+
+
+def test_sample_mcmc_acceptance_rate_per_chain(tmp_path):
+    # each chain reports its last running rate, accepted / attempted over the
+    # whole chain; the headline rate is their mean
+    cfg = write_config(tmp_path, "n = 4\nsamples = 5\nchains = 2\nseed = 7\n"
+                                 "sampler.kind = mcmc\nsampler.burn_in_sweeps = 20\n"
+                                 "sampler.thin_stride = 3\n")
+    out = tmp_path / "out"
+    assert run(["sample", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "sample_metadata.json").read_text())
+    scfg = SamplerConfig(master_seed=7, burn_in_sweeps=20, thin_stride=3)
+    expected = [collect_mcmc(make_ginibre(), 4.0, 4, scfg, stream_rng(7, idx),
+                             count)[-1].meta["acceptance_rate"]
+                for idx, count in enumerate((3, 2))]
+    assert meta["acceptance_rate_per_chain"] == expected
+    assert expected[0] != expected[1]
+    assert meta["acceptance_rate"] == pytest.approx(np.mean(expected), rel=1e-15)
 
 
 def test_sample_dpp_ignores_envelope_margin(tmp_path):

@@ -6,7 +6,7 @@ from scipy.stats import chisquare, gamma, ks_2samp
 
 from rnmlab.orthopoly import (GridResolutionError, WeightedKernel,
                               radial_norms, weighted_kernel)
-from rnmlab.potential import make_ginibre, make_radial_power
+from rnmlab.potential import compute_droplet, make_ginibre, make_radial_power
 from rnmlab.sampler import (SamplerConfig, collect_mcmc, mcmc_log_ratio,
                             sample_dpp, sample_ginibre_matrix, sample_mcmc,
                             stream_rng)
@@ -195,6 +195,73 @@ def test_mcmc_determinism():
     b = collect_mcmc(pot, 8.0, 8, cfg, stream_rng(8, 0), 3)
     for x, y in zip(a, b):
         assert np.array_equal(x.points, y.points)
+
+
+def _reference_mcmc(pot, m, n, cfg, rng, count):
+    """One particle at a time, as documented for ``sample_mcmc``: per sweep
+    the generator gives standard_normal((2, n)), then random(n); each step
+    uses ``mcmc_log_ratio`` against the current positions plus the
+    asymmetric-proposal correction."""
+    radius = compute_droplet(pot, n / m).radius
+    floor = float(pot.laplacian(complex(0.5 * radius)))
+
+    def scale(z):
+        return cfg.proposal_scale / np.sqrt(m * max(float(pot.laplacian(z)), floor))
+
+    pts = radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    accepted, sweep, out = 0, 0, []
+    while len(out) < count:
+        xi = rng.standard_normal((2, n))
+        u = rng.random(n)
+        for i in range(n):
+            x = pts[i]
+            s = scale(x)
+            y = x + s * np.sqrt(0.5) * complex(xi[0, i], xi[1, i])
+            log_t = mcmc_log_ratio(pts, i, y, pot, m)
+            if np.isfinite(log_t):
+                s_back = scale(y)
+                d2 = abs(y - x) ** 2
+                log_t += (-d2 / s_back**2 - 2.0 * np.log(s_back)) \
+                    - (-d2 / s**2 - 2.0 * np.log(s))
+            if np.log(u[i]) < log_t:
+                pts[i] = y
+                accepted += 1
+        sweep += 1
+        if sweep >= cfg.burn_in_sweeps and \
+                (sweep - cfg.burn_in_sweeps) % cfg.thin_stride == 0:
+            out.append((pts.copy(), accepted / (n * sweep)))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:Metropolis acceptance rate")  # 1-sweep burn-in
+@pytest.mark.parametrize("field", ["ginibre", "power2"])
+def test_mcmc_sweep_matches_scalar_reference(field):
+    # power-2 has a non-constant lap Q, so the correction term is exercised;
+    # a step that reads sweep-start instead of current positions fails here
+    pot = make_ginibre() if field == "ginibre" else make_radial_power(2)
+    n, m = 8, 8.0
+    cfg = SamplerConfig(master_seed=11, burn_in_sweeps=1, thin_stride=1)
+    got = collect_mcmc(pot, m, n, cfg, stream_rng(11, 0), 3)
+    want = _reference_mcmc(pot, m, n, cfg, stream_rng(11, 0), 3)
+    for conf, (pts, rate) in zip(got, want):
+        assert np.max(np.abs(conf.points - pts)) <= 1e-12
+        assert conf.meta["acceptance_rate"] == rate
+
+
+def test_mcmc_mean_square_sum_exact():
+    # Kostlan's exact E sum |z|^2 (as in test_dpp_mean_square_sum_exact) on a
+    # field with non-constant lap Q; the MCSE is from 20 batch means, so it
+    # allows for the chain's autocorrelation
+    pot = make_radial_power(2)
+    n, m = 8, 8.0
+    cfg = SamplerConfig(master_seed=43, burn_in_sweeps=500, thin_stride=10)
+    vals = np.array([np.sum(np.abs(c.points) ** 2)
+                     for c in collect_mcmc(pot, m, n, cfg, stream_rng(43, 0), 1000)])
+    h = radial_norms(pot, m, n + 1).norms
+    exact = float(np.sum(h[1:] / h[:-1]))
+    batch_means = vals.reshape(20, -1).mean(axis=1)
+    mcse = batch_means.std(ddof=1) / np.sqrt(len(batch_means))
+    assert abs(vals.mean() - exact) <= 4.0 * mcse
 
 
 def test_mcmc_log_ratio_reciprocal():
