@@ -6,15 +6,16 @@ limit with kernel  exp(z conj(w) - (|z|^2 + |w|^2)/2).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .orthopoly import (OrthonormalBasis, QuadratureGrid, WeightedKernel,
-                        _shifted_phase_sum, default_grid, radial_norms,
-                        weighted_kernel)
+from .orthopoly import (_PANELS, OrthonormalBasis, QuadratureGrid, WeightedKernel,
+                        _norm_window, _shifted_phase_sum, default_grid, leggauss,
+                        radial_norms, weighted_kernel)
 from .potential import Potential, compute_droplet, make_ginibre
 
 
@@ -91,16 +92,21 @@ def berezin_transform(kern: WeightedKernel, f, z0: complex,
     """B f(z0) = int f(w) B^{z0}(w) dA(w) by quadrature, together with the
     residual of the first-order expansion  B f = f + lap f / (m lap Q):
     residual = m (B f(z0) - f(z0)) - lap f(z0) / lap Q(z0), quarter-Laplacian
-    on both sides."""
+    on both sides.  The expansion needs lap Q(z0) > 0: an anchor where it
+    vanishes (the origin of a power field) raises AnchorError."""
+    z0c = complex(z0)
+    lap_q = float(kern.potential.laplacian(z0c))
+    if not lap_q > 0.0:
+        raise AnchorError(f"lap Q({z0c}) = {lap_q:.3g}: the expansion "
+                          "B f = f + lap f / (m lap Q) needs lap Q > 0 at the anchor")
     if grid is None:
         grid = default_grid(kern.potential, kern.m, kern.n)
     bk = berezin_kernel(kern, z0)
     dens = bk.density_grid(grid.radial_nodes, grid.thetas)
     vals = np.asarray(np.real(f.value(grid.nodes)), dtype=float)
     value = float(grid.integrate(vals * dens.ravel()))
-    z0c = complex(z0)
     quarter_lap_f = 0.25 * float(np.real(f.laplacian_std(z0c)))
-    correction = quarter_lap_f / float(kern.potential.laplacian(z0c))
+    correction = quarter_lap_f / lap_q
     f0 = float(np.real(f.value(z0c)))
     residual = kern.m * (value - f0) - correction
     return BerezinTransformResult(value=value, expansion_residual=residual,
@@ -120,42 +126,58 @@ def conditional_basis(pot: Potential, n: int) -> OrthonormalBasis:
                             log_norms=base.log_norms[1:].copy())
 
 
-def conditional_one_point(pot: Potential, n: int, z) -> np.ndarray:
-    """One-point density of the conditioned (n-1)-point process,
-    sum_{k<=n-2} |z|^{2(k+1)} e^{-nQ} / h_{k+1}: modes 1..n-1 of the
-    n-point kernel.  At n = 1 the pinned process is empty and the density 0."""
-    kern = weighted_kernel(pot, float(n), n)
-    if n == 1:
+def _pinned_one_point(kern: WeightedKernel, z) -> np.ndarray:
+    """Modes 1..n-1 of the one-point sum of kern; 0 when n = 1."""
+    if kern.n == 1:
         return np.zeros(np.shape(z))
     L, s = _shifted_phase_sum(2.0 * kern.log_modes(z)[..., 1:])
     return np.exp(L) * s
 
 
-def conditional_identity_check(pot: Potential, n: int,
-                               grid: Optional[QuadratureGrid] = None) -> float:
-    """Max-grid residual of the pinned-process identity
-    B^{<0>}(z) = R1_n(z) - R1tilde_{n-1}(z)  for a radial field, anchor 0."""
+def conditional_one_point(pot: Potential, n: int, z) -> np.ndarray:
+    """One-point density of the conditioned (n-1)-point process,
+    sum_{k<=n-2} |z|^{2(k+1)} e^{-nQ} / h_{k+1}: modes 1..n-1 of the
+    n-point kernel.  At n = 1 the pinned process is empty and the density 0."""
+    return _pinned_one_point(weighted_kernel(pot, float(n), n), z)
+
+
+def _pinned_densities(pot: Potential, n: int, grid: Optional[QuadratureGrid]):
+    """The grid (``default_grid`` if None) and B^{<0>}, R1_n and
+    R1tilde_{n-1} on its radial nodes, all three from one n-point kernel."""
     kern = weighted_kernel(pot, float(n), n)
     if grid is None:
         grid = default_grid(pot, float(n), n)
-    bk = berezin_kernel(kern, 0.0)
-    lhs = bk.density(grid.nodes)
-    rhs = kern.one_point(grid.nodes) - conditional_one_point(pot, n, grid.nodes)
-    return float(np.max(np.abs(lhs - rhs)))
+    r = grid.radial_nodes
+    return (grid, berezin_kernel(kern, 0.0).density(r), kern.one_point(r),
+            _pinned_one_point(kern, r))
+
+
+def conditional_identity_check(pot: Potential, n: int,
+                               grid: Optional[QuadratureGrid] = None) -> float:
+    """Max-grid residual of the pinned-process identity
+    B^{<0>}(z) = R1_n(z) - R1tilde_{n-1}(z)  for a radial field, anchor 0.
+
+    With the anchor at 0 all three densities depend on |z| alone, so the max
+    over the grid nodes is the max over the radial nodes, up to the rounding
+    of |r e^{i theta}|: one evaluation per ring, not per node."""
+    _, b0, r1, r1_pinned = _pinned_densities(pot, n, grid)
+    return float(np.max(np.abs(b0 - (r1 - r1_pinned))))
 
 
 def conditional_expectation_identity(pot: Potential, n: int, f,
                                      grid: Optional[QuadratureGrid] = None) -> float:
-    """Residual of  B f(0) = E_n(trace f) - E_{n-1}^{<0>}(trace f), both sides
-    by quadrature from the two one-point densities."""
-    kern = weighted_kernel(pot, float(n), n)
-    if grid is None:
-        grid = default_grid(pot, float(n), n)
-    lhs = berezin_transform(kern, f, 0.0, grid).value
+    """Residual of  B f(0) = E_n(trace f) - E_{n-1}^{<0>}(trace f), all three
+    the grid integral of f against a density: B^{<0>}, R1_n, R1tilde_{n-1}.
+
+    The densities are radial and every node of a ring has the same weight,
+    so each grid integral is exactly the dot product of the radial density
+    with f's per-ring integrals (``ring_weights`` times f's mean over the
+    ring).  f itself need not be radial: it is evaluated once on every node.
+    """
+    grid, b0, r1, r1_pinned = _pinned_densities(pot, n, grid)
     vals = np.asarray(np.real(f.value(grid.nodes)), dtype=float)
-    e_n = float(np.real(grid.integrate(vals * kern.one_point(grid.nodes))))
-    e_cond = float(np.real(grid.integrate(vals * conditional_one_point(pot, n, grid.nodes))))
-    return abs(lhs - (e_n - e_cond))
+    f_rings = grid.ring_weights * vals.reshape(-1, grid.n_theta).mean(axis=1)
+    return abs(float(f_rings @ b0) - (float(f_rings @ r1) - float(f_rings @ r1_pinned)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +197,30 @@ def wavefunction_measure(pot: Potential, n: int,
     """The probability density |p_{n-1}(z)|^2 e^{-nQ(z)} of the top
     orthonormal polynomial for weight e^{-nQ}: total mass, mass in the ring
     | |z| - R | < halfwidth, and the angular uniformity defect (identically 0
-    for radial fields, where the density is radial)."""
-    from scipy.integrate import quad
+    for radial fields, where the density is radial).
+
+    Both masses are composite Gauss-Legendre sums of the radial density.
+    The total takes the 8-node rule on the _PANELS panels of
+    [0, _norm_window] that ``RadialLaw`` uses; the norm h_{n-1} came from the
+    16-node rule, so a total of 1 checks one rule against the other.  The
+    ring takes the 16-node rule on panels of that width or narrower.
+    """
     kern = weighted_kernel(pot, float(n), n)
     radius = compute_droplet(pot, 1.0).radius
+    window = _norm_window(pot, float(n), n)
 
-    def density_r(r):
-        # radial density of the measure in r (includes the 2r of dA)
-        return 2.0 * r * np.exp(2.0 * kern.log_modes(r)[n - 1])
+    def mass(a, b, panels, order):
+        # the density in r includes the 2r of dA
+        x, w = leggauss(order)
+        half = 0.5 * (b - a) / panels
+        r = (a + half * (2.0 * np.arange(panels)[:, None] + x + 1.0)).ravel()
+        return float(np.tile(half * w, panels)
+                     @ (2.0 * r * np.exp(2.0 * kern.log_modes(r)[:, n - 1])))
 
+    total = mass(0.0, window, _PANELS, 8)
     lo = max(radius - ring_halfwidth, 0.0)
     hi = radius + ring_halfwidth
-    total, _ = quad(density_r, 0.0, max(4.0 * radius, hi * 1.5),
-                    points=[radius], limit=200)
-    ring, _ = quad(density_r, lo, hi, limit=200)
+    ring = mass(lo, hi, max(1, math.ceil(_PANELS * (hi - lo) / window)), 16)
     return WavefunctionProfile(total_mass=float(total), ring_mass=float(ring),
                                ring_halfwidth=ring_halfwidth,
                                droplet_radius=radius, angular_uniformity=0.0)
@@ -228,7 +260,7 @@ def exterior_harmonic_measure_check(kern: WeightedKernel,
         raise AnchorError(f"exterior anchor must satisfy |z0| > 1.1 R = {1.1*radius:.4g}")
     grid = default_grid(pot, kern.m, kern.n, n_theta=512)
     r = grid.radial_nodes
-    wr = grid.radial_weights
+    rw = grid.ring_weights / (2.0 * np.pi)  # ring weights per unit angle
     thetas = grid.thetas
 
     # far anchors legitimately underflow R1 itself; the density ratio stays
@@ -236,13 +268,13 @@ def exterior_harmonic_measure_check(kern: WeightedKernel,
     bk = _berezin_kernel_unchecked(kern, z0)
     dens = bk.density_grid(r, thetas)
 
-    marginal = (wr * r) @ dens / np.pi  # density w.r.t. d theta
+    marginal = rw @ dens  # density w.r.t. d theta
     poisson = exterior_poisson_density(z0, radius, thetas)
     dtheta = 2.0 * np.pi / grid.n_theta
     l1 = float(np.sum(np.abs(marginal - poisson)) * dtheta)
     outside_radius = 1.1 * radius
     outside = r > outside_radius
-    mass_outside = float(np.sum((wr[outside] * r[outside]) @ dens[outside]) * dtheta / np.pi)
+    mass_outside = float(np.sum(rw[outside] @ dens[outside]) * dtheta)
     return HarmonicMeasureCheck(l1_distance=l1, mass_outside=mass_outside,
                                 outside_radius=outside_radius,
                                 thetas=thetas, marginal=marginal, poisson=poisson)

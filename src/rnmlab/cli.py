@@ -404,8 +404,11 @@ def cmd_berezin(cfg, args, rep: Reporter) -> int:
               0.15 * abs(bt.correction))
     bk0 = bz.berezin_kernel(kern, 0.0)
     radii = np.linspace(0.0, 3.0 / np.sqrt(n), 40)
+    # B^{<0>}(w) = e^{-mQ(w)} / h_0 on a radial field: only the constant mode
+    # of K(0, w) survives
+    log_h0 = float(kern.basis.log_norms[0])
     rows = [[float(r), float(bk0.density(complex(r))),
-             float(n * np.exp(-n * r * r))] for r in radii]
+             float(np.exp(-m * float(pot.evaluate(complex(r))) - log_h0))] for r in radii]
     rep.write_csv("berezin_profile.csv", ["radius", "density", "origin_prediction"], rows)
     return rep.finish()
 

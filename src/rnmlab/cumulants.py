@@ -283,7 +283,7 @@ def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int) -> float
 
     val = _value_fn(g)
     r = grid.radial_nodes
-    rw = 2.0 * r * grid.radial_weights
+    rw = grid.ring_weights
     logm = kern.log_modes(r)  # log|psi_j(r)|: (radial node, mode)
     T = np.exp(2.0 * logm) * rw[:, None]
     trace = float(np.sum(T))

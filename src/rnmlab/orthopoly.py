@@ -71,6 +71,18 @@ class QuadratureGrid:
         """The n_theta uniform angles of the product grid."""
         return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
 
+    @property
+    def ring_weights(self) -> np.ndarray:
+        """Sum over theta of each ring's node weights, 2 r w_r.
+
+        Every node of ring r carries the same weight, so for a radial h,
+        integrate(h(nodes)) = ring_weights @ h(radial_nodes): the same sum
+        with the n_theta equal terms of each ring collected, exact up to the
+        rounding of |r e^{i theta}|.  A non-radial h enters through its mean
+        over each ring, (ring_weights * mean_theta h) summed over the rings.
+        """
+        return 2.0 * self.radial_nodes * self.radial_weights
+
     def integrate(self, values) -> complex:
         return np.sum(self.weights * np.asarray(values).ravel())
 
@@ -288,7 +300,13 @@ class WeightedKernel:
         return out if out.shape else float(out)
 
     def trace_on(self, grid: QuadratureGrid) -> float:
-        return float(np.real(grid.integrate(self.one_point(grid.nodes))))
+        """Grid mass of R1, which is n when the grid resolves the kernel.
+
+        R1(z) depends on |z| alone (the basis is radial), so the node sum is
+        the sum over the radial nodes against ``grid.ring_weights``: one
+        kernel evaluation per ring, not per node.
+        """
+        return float(grid.ring_weights @ self.one_point(grid.radial_nodes))
 
     @cached_property
     def radial_law(self) -> "RadialLaw":

@@ -160,6 +160,40 @@ def test_conditional_expectation_identity(pot):
     assert conditional_expectation_identity(pot, 16, f) <= 1e-8
 
 
+def test_conditional_expectation_identity_power_field():
+    # lap Q(0) = 0 here; the identity itself needs no expansion at the anchor
+    f = bump(0.1 + 0.05j, 0.3)
+    assert conditional_expectation_identity(make_radial_power(2), 16, f) <= 1e-8
+
+
+def test_transform_rejects_anchor_where_laplacian_vanishes():
+    kern = weighted_kernel(make_radial_power(2), 16.0, 16)
+    with pytest.raises(AnchorError, match="lap Q"):
+        berezin_transform(kern, bump(0.0, 0.5), 0.0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("family", ["ginibre", "power2"])
+def test_pinned_checks_match_pointwise(family, n):
+    # both checks evaluate the densities once per ring; here they are written
+    # out over every node of the grid
+    pot = make_ginibre() if family == "ginibre" else make_radial_power(2)
+    kern = weighted_kernel(pot, float(n), n)
+    grid = default_grid(pot, float(n), n)
+    z = grid.nodes
+    b0 = berezin_kernel(kern, 0.0).density(z)
+    r1 = kern.one_point(z)
+    r1_pinned = conditional_one_point(pot, n, z)
+    pointwise = float(np.max(np.abs(b0 - (r1 - r1_pinned))))
+    assert abs(conditional_identity_check(pot, n, grid) - pointwise) <= 1e-12
+
+    f = bump(0.1 + 0.05j, 0.3)
+    vals = np.real(f.value(z))
+    e = [float(np.real(grid.integrate(vals * d))) for d in (b0, r1, r1_pinned)]
+    pointwise = abs(e[0] - (e[1] - e[2]))
+    assert abs(conditional_expectation_identity(pot, n, f, grid) - pointwise) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # wave-function measure
 
@@ -173,6 +207,18 @@ def test_wavefunction_ring_concentration(pot):
     prof = wavefunction_measure(pot, 256, ring_halfwidth=0.1)
     assert prof.ring_mass >= 0.95
     assert prof.droplet_radius == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_wavefunction_ring_mass_closed_form(p):
+    # |z|^{2p} under the top mode's density is Gamma(n/p, rate n), so the
+    # ring mass is a difference of regularized incomplete gamma functions
+    from scipy.special import gammainc
+    n, h = 64, 0.1
+    prof = wavefunction_measure(make_radial_power(p), n, ring_halfwidth=h)
+    lo, hi = prof.droplet_radius - h, prof.droplet_radius + h
+    ref = gammainc(n / p, n * hi ** (2 * p)) - gammainc(n / p, n * lo ** (2 * p))
+    assert prof.ring_mass == pytest.approx(ref, abs=1e-12)
 
 
 def test_wavefunction_angular_uniformity(pot):

@@ -334,6 +334,28 @@ def test_berezin_subcommand(tmp_path):
     assert "pinned_identity_residual" in names
 
 
+def test_berezin_subcommand_power_field(tmp_path):
+    # lap Q(0) = 0 on a power field; only an expansion at 0 would need it
+    cfg = write_config(tmp_path, "potential.family = power2\nn = 16\n")
+    out = tmp_path / "out"
+    code = run(["berezin", "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 1)
+    summary = json.loads((out / "berezin_summary.json").read_text())
+    checks = {c["name"]: c for c in summary["checks"]}
+    assert checks["pinned_identity_residual"]["pass"]
+    assert checks["pinned_expectation_residual"]["pass"]
+    # B^{<0>} = e^{-mQ} / h_0 on every radial field
+    table = np.loadtxt(out / "berezin_profile.csv", delimiter=",", skiprows=1)
+    assert np.allclose(table[:, 1], table[:, 2], rtol=1e-10, atol=0.0)
+
+
+def test_berezin_transform_anchor_where_laplacian_vanishes(tmp_path, capsys):
+    cfg = write_config(tmp_path, "potential.family = power2\nn = 16\n"
+                                 "berezin.transform_anchor = 0\n")
+    assert run(["berezin", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "lap Q" in capsys.readouterr().err
+
+
 def test_ginibre_cli_loads_no_scipy(tmp_path):
     # a fresh interpreter: the test session itself has SciPy loaded
     (tmp_path / "exp.cfg").write_text("n = 8\n")

@@ -150,6 +150,23 @@ def test_trace_is_n(kern16, grid16):
     assert kern16.trace_on(grid16) == pytest.approx(16.0, abs=1e-6)
 
 
+def test_ring_weights_sum_each_ring():
+    grid = QuadratureGrid.disk(1.3, n_radial=40, n_theta=32)
+    per_ring = grid.weights.reshape(40, 32).sum(axis=1)
+    assert np.allclose(grid.ring_weights, per_ring, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("family", ["ginibre", "power2"])
+def test_trace_on_matches_pointwise(family, n):
+    # trace_on sums one R1 value per ring; the node sum is its reference
+    pot = make_ginibre() if family == "ginibre" else make_radial_power(2)
+    kern = weighted_kernel(pot, float(n), n)
+    grid = default_grid(pot, float(n), n)
+    pointwise = float(np.real(grid.integrate(kern.one_point(grid.nodes))))
+    assert abs(kern.trace_on(grid) - pointwise) <= 1e-12 * n
+
+
 def test_reproducing_property(kern16, grid16):
     rng = np.random.default_rng(11)
     zs = 0.9 * np.sqrt(rng.random(5)) * np.exp(2j * np.pi * rng.random(5))
