@@ -13,6 +13,7 @@ from .potential import (
     make_ginibre,
     make_radial_power,
     make_custom_radial,
+    make_tabulated_radial,
     compute_droplet,
 )
 from .orthopoly import (

@@ -26,7 +26,8 @@ from . import cumulants as cu
 from . import statistics as st
 from .orthopoly import (GridResolutionError, default_grid, fit_decay_rate,
                         offdiagonal_decay_profile, weighted_kernel)
-from .potential import compute_droplet, make_custom_radial, make_ginibre, make_radial_power
+from .potential import (compute_droplet, make_ginibre, make_radial_power,
+                        make_tabulated_radial)
 from .sampler import (SamplerConfig, collect_mcmc, sample_dpp,
                       sample_ginibre_matrix, stream_rng)
 
@@ -91,14 +92,11 @@ def build_potential(cfg: dict):
         return make_radial_power(int(p))
     if family == "custom":
         path = cfg_get(cfg, "potential.profile_file", required=True)
-        table = np.loadtxt(path, delimiter=",", skiprows=1)
-        if table.ndim != 2 or table.shape[1] < 4:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if table.shape[1] < 4:
             raise ConfigError("profile file needs CSV columns r,q,q',q''")
-        from scipy.interpolate import CubicSpline
-        r, q, dq, d2q = (table[:, i] for i in range(4))
         rho = cfg_get(cfg, "potential.growth_exponent", 10.0)
-        return make_custom_radial(CubicSpline(r, q), CubicSpline(r, dq),
-                                  CubicSpline(r, d2q), rho)
+        return make_tabulated_radial(*table.T[:4], rho)
     raise ConfigError(f"unknown potential family {family!r}")
 
 

@@ -8,6 +8,7 @@ whose radius R solves the balance equation  R q'(R) = 2 tau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -231,6 +232,67 @@ def make_custom_radial(q, dq, d2q, growth_exponent: float, name: str = "custom")
         growth_exponent=float(growth_exponent),
         radial_profile=profile,
     )
+
+
+def make_tabulated_radial(r, q, dq, d2q, growth_exponent: float,
+                          name: str = "custom") -> Potential:
+    """Field from a radial profile tabulated at knots r: the C^2 piecewise
+    quintic Hermite interpolant of (q, q', q'') with ``make_custom_radial``'s
+    checks.
+
+    On [r_j, r_{j+1}], with h = r_{j+1} - r_j and t = (r - r_j) / h, q is the
+    quintic sum_k c_k t^k that matches q, q' and q'' at both knots, so it
+    reproduces polynomials up to degree 5, and the field's q' and q'' are the
+    derivatives of that q.  The end pieces extrapolate beyond the table.
+    Rejects tables with fewer than 2 rows, a non-finite entry or radii that
+    are not strictly increasing.
+    """
+    r, q, dq, d2q = (np.asarray(col, dtype=float) for col in (r, q, dq, d2q))
+    if r.ndim != 1 or any(col.shape != r.shape for col in (q, dq, d2q)):
+        raise PotentialError("profile columns r, q, q', q'' must be 1-d and of equal length")
+    if r.size < 2:
+        raise PotentialError(f"profile table needs at least 2 rows, got {r.size}")
+    for label, col in (("r", r), ("q", q), ("q'", dq), ("q''", d2q)):
+        if not np.all(np.isfinite(col)):
+            bad = int(np.argmin(np.isfinite(col)))
+            raise PotentialError(f"profile table has a non-finite {label} in row {bad + 1}")
+    h = np.diff(r)
+    if not np.all(h > 0.0):
+        bad = int(np.argmin(h > 0.0))
+        raise PotentialError("profile radii must be strictly increasing: "
+                             f"r = {r[bad + 1]!r} follows r = {r[bad]!r}")
+
+    c0, c1, c2 = q[:-1], h * dq[:-1], 0.5 * h**2 * d2q[:-1]
+    y = q[1:] - (c0 + c1 + c2)
+    d = h * dq[1:] - (c1 + 2.0 * c2)
+    s = h**2 * d2q[1:] - 2.0 * c2
+    coef = [c0, c1, c2,
+            10.0 * y - 4.0 * d + 0.5 * s,
+            -15.0 * y + 7.0 * d - s,
+            6.0 * y - 3.0 * d + 0.5 * s]
+    # searchsorted on the interior knots picks the piece directly: 0 below
+    # r_1, the last piece from r_{k-2} on, so the end pieces extrapolate
+    interior = r[1:-1]
+
+    def derivative(order):
+        # one column per piece: the t-coefficients of d^order q / dr^order,
+        # highest degree first, then the piece's left knot and 1/h
+        table = np.stack([math.perm(k, order) * coef[k] / h**order
+                          for k in range(5, order - 1, -1)] + [r[:-1], 1.0 / h])
+
+        def evaluate(x):
+            x = np.asarray(x, dtype=float)
+            c = table[:, np.searchsorted(interior, x, side="right")]
+            t = (x - c[-2]) * c[-1]
+            out = c[0]
+            for ck in c[1:-2]:
+                out = out * t + ck
+            return out
+
+        return evaluate
+
+    return make_custom_radial(derivative(0), derivative(1), derivative(2),
+                              growth_exponent, name=name)
 
 
 def _solve_rdq(dq, c: float, lo: float, hi: float) -> float:

@@ -9,8 +9,9 @@ from rnmlab.sampler import (SamplerConfig, collect_mcmc, sample_dpp,
 
 
 def spline_field():
-    """q = r^2/2 + r^4/4 tabulated on 600 knots and splined, as the CLI
-    builds a custom field from its r,q,q',q'' file."""
+    """q = r^2/2 + r^4/4 tabulated on 600 knots, each column splined on its
+    own: a custom field from arbitrary callables, independent of the CLI's
+    quintic Hermite interpolant (``make_tabulated_radial``)."""
     r = np.linspace(0.0, 6.0, 600)
     return make_custom_radial(CubicSpline(r, r**2 / 2 + r**4 / 4), CubicSpline(r, r + r**3),
                               CubicSpline(r, 1.0 + 3.0 * r**2), 10.0, name="spline")

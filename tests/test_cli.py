@@ -248,6 +248,43 @@ def test_kernel_subcommand_custom_field_has_no_nan(tmp_path):
     assert np.all(np.isfinite(rows))
 
 
+def _quartic_profile(r):
+    """The benchmark's custom field q = r^2/2 + r^4/4 as r,q,q',q'' rows."""
+    return np.column_stack([r, r**2 / 2 + r**4 / 4, r + r**3, 1.0 + 3.0 * r**2])
+
+
+def _write_profile(path, table):
+    np.savetxt(path, table, delimiter=",", header="r,q,dq,d2q", comments="")
+    return path
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("duplicate_knot", "strictly increasing"),
+    ("decreasing_knot", "strictly increasing"),
+    ("nan_entry", "non-finite q'"),
+    ("inf_entry", "non-finite r"),
+    ("single_row", "at least 2 rows"),
+])
+def test_custom_profile_table_defects_exit_2(tmp_path, capsys, defect, message):
+    table = _quartic_profile(np.linspace(0.0, 6.0, 60))
+    if defect == "duplicate_knot":
+        table = np.insert(table, 30, table[30], axis=0)
+    elif defect == "decreasing_knot":
+        table[[30, 31]] = table[[31, 30]]
+    elif defect == "nan_entry":
+        table[10, 2] = np.nan
+    elif defect == "inf_entry":
+        table[-1, 0] = np.inf
+    else:
+        table = table[:1]
+    prof = _write_profile(tmp_path / "profile.csv", table)
+    cfg = write_config(tmp_path, f"potential.family = custom\n"
+                                 f"potential.profile_file = {prof}\nn = 16\n")
+    assert run(["kernel", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+
+
 def test_kernel_nan_residual_fails_check(tmp_path, monkeypatch):
     from rnmlab.potential import Potential
     monkeypatch.setattr(Potential, "subleading_density",
@@ -378,3 +415,27 @@ def test_ginibre_cli_loads_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_custom_field_cli_loads_no_scipy(tmp_path):
+    # a fresh interpreter: kernel and an mcmc sample on a tabulated profile
+    prof = _write_profile(tmp_path / "profile.csv", _quartic_profile(np.linspace(0.0, 6.0, 600)))
+    (tmp_path / "exp.cfg").write_text(
+        f"potential.family = custom\npotential.profile_file = {prof}\n"
+        "n = 16\nsamples = 4\nsampler.kind = mcmc\nsampler.burn_in_sweeps = 100\n")
+    script = textwrap.dedent(f"""
+        import sys
+        import rnmlab.cli
+
+        for sub in ("kernel", "sample"):
+            code = rnmlab.cli.run([sub, "--config", {str(tmp_path / "exp.cfg")!r},
+                                   "--seed", "3", "--out", {str(tmp_path)!r} + "/" + sub])
+            assert code in (0, 1), f"{{sub}} exited {{code}}"
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, f"{{sub}} loaded {{loaded[:5]}}"
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sample" / "sample_summary.json").exists()

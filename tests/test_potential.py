@@ -3,7 +3,8 @@ import pytest
 
 from rnmlab.potential import (DropletGeometryError, PotentialError, _solve_rdq,
                               compute_droplet, make_custom_radial,
-                              make_ginibre, make_radial_power)
+                              make_ginibre, make_radial_power,
+                              make_tabulated_radial)
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -85,6 +86,65 @@ def test_custom_radial_rejects_log_profile():
             d2q=lambda r: -1.0 / np.asarray(r) ** 2,
             growth_exponent=1.0,
         )
+
+
+def _quintic_columns(r):
+    """q = r^2 + 0.3 r^3 + 0.1 r^4 + 0.05 r^5 (strictly subharmonic) with q', q''."""
+    return (r**2 + 0.3 * r**3 + 0.1 * r**4 + 0.05 * r**5,
+            2.0 * r + 0.9 * r**2 + 0.4 * r**3 + 0.25 * r**4,
+            2.0 + 1.8 * r + 1.2 * r**2 + 1.0 * r**3)
+
+
+def _benchmark_table():
+    """The benchmark's custom field: q = r^2/2 + r^4/4 on 600 knots over [0, 6]."""
+    r = np.linspace(0.0, 6.0, 600)
+    return make_tabulated_radial(r, r**2 / 2 + r**4 / 4, r + r**3, 1.0 + 3.0 * r**2, 10.0)
+
+
+def test_tabulated_radial_reproduces_quintic():
+    # non-uniform knots from r = 0.05, like the table of
+    # test_build_potential_families; 0.01 and 0.02 lie below the first knot
+    r = 0.05 + 3.95 * np.linspace(0.0, 1.0, 25) ** 1.5
+    prof = make_tabulated_radial(r, *_quintic_columns(r), 10.0).radial_profile
+    x = np.concatenate([[0.01, 0.02], np.linspace(0.05, 4.0, 1001), r])
+    for got, exact in zip((prof.q(x), prof.dq(x), prof.d2q(x)), _quintic_columns(x)):
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-12
+
+
+def test_tabulated_radial_derivatives_are_derivatives_of_q():
+    # a profile that is not a piecewise polynomial: the interpolant differs
+    # from it, but its q' and q'' are still the derivatives of its q, and it
+    # meets the table (q, q', q'') of every knot (C^2); the table spans make_custom_radial's
+    # probe annulus, so no extrapolated piece decides its subharmonicity check
+    r = np.linspace(0.0, 10.0, 101)
+    prof = make_tabulated_radial(r, r**2 + np.sin(r), 2.0 * r + np.cos(r),
+                                 2.0 - np.sin(r), 10.0).radial_profile
+    x = np.linspace(0.013, 9.987, 400)
+    e = 1e-5
+    for f, df in ((prof.q, prof.dq), (prof.dq, prof.d2q)):
+        central = (f(x + e) - f(x - e)) / (2.0 * e)
+        assert np.max(np.abs(df(x) - central)) <= 1e-8
+    knots, below = r[1:-1], np.nextafter(r[1:-1], -np.inf)
+    for f, col in ((prof.q, knots**2 + np.sin(knots)),
+                   (prof.dq, 2.0 * knots + np.cos(knots)),
+                   (prof.d2q, 2.0 - np.sin(knots))):
+        assert np.max(np.abs(f(knots) - col)) <= 1e-13
+        assert np.max(np.abs(f(below) - col)) <= 1e-11
+
+
+def test_tabulated_radial_droplet_radius():
+    # r q'(r) = r^2 + r^4 = 2 at r = 1
+    assert abs(compute_droplet(_benchmark_table(), 1.0).radius - 1.0) <= 1e-14
+
+
+def test_tabulated_radial_nu_density_closed_form():
+    # q'' is the second derivative of the q column's interpolant; the finite
+    # differences of subleading_density then cost digits against splining the
+    # q'' column on its own (about 4.7e-8 here against 4e-10)
+    drop = compute_droplet(_benchmark_table(), 1.0)
+    r = np.array([0.0, 1e-3, 0.1, 0.5, 0.9])
+    exact = 1.0 / (4.0 * (0.5 + r**2) ** 2)
+    assert np.max(np.abs(drop.nu_density(r.astype(complex)) - exact)) <= 1e-7
 
 
 def test_radial_profile_consistency():
