@@ -243,7 +243,11 @@ def make_tabulated_radial(r, q, dq, d2q, growth_exponent: float,
     On [r_j, r_{j+1}], with h = r_{j+1} - r_j and t = (r - r_j) / h, q is the
     quintic sum_k c_k t^k that matches q, q' and q'' at both knots, so it
     reproduces polynomials up to degree 5, and the field's q' and q'' are the
-    derivatives of that q.  The end pieces extrapolate beyond the table.
+    derivatives of that q.  Below r_0, q is the same rule's quintic between
+    r_0 and a knot at least r_0 further out, so it still reproduces degree 5
+    down to r = 0; beyond the last knot it is that knot's Taylor quadratic.
+    Neither extension carries the high coefficients of a narrow end piece
+    far past its knot, where their rounding would grow like (distance / h)^5.
     Rejects tables with fewer than 2 rows, a non-finite entry or radii that
     are not strictly increasing.
     """
@@ -262,27 +266,36 @@ def make_tabulated_radial(r, q, dq, d2q, growth_exponent: float,
         raise PotentialError("profile radii must be strictly increasing: "
                              f"r = {r[bad + 1]!r} follows r = {r[bad]!r}")
 
-    c0, c1, c2 = q[:-1], h * dq[:-1], 0.5 * h**2 * d2q[:-1]
-    y = q[1:] - (c0 + c1 + c2)
-    d = h * dq[1:] - (c1 + 2.0 * c2)
-    s = h**2 * d2q[1:] - 2.0 * c2
-    coef = [c0, c1, c2,
-            10.0 * y - 4.0 * d + 0.5 * s,
-            -15.0 * y + 7.0 * d - s,
-            6.0 * y - 3.0 * d + 0.5 * s]
-    # searchsorted on the interior knots picks the piece directly: 0 below
-    # r_1, the last piece from r_{k-2} on, so the end pieces extrapolate
-    interior = r[1:-1]
+    # pieces: below r_0, the piece from r_0 to the first knot r_m with
+    # r_m >= 2 r_0 (the last knot if the table stops short of 2 r_0), so
+    # every radius r >= 0 lies at t >= -1 and the rounding of c_3 .. c_5 is
+    # not amplified; then one piece per interval; from r_{k-1} on, the last
+    # knot's Taylor quadratic.  searchsorted on the knots picks the piece
+    # directly: 0 below r_0, j + 1 on [r_j, r_{j+1}), k from r_{k-1} on
+    m = min(max(int(np.searchsorted(r, 2.0 * r[0])), 1), r.size - 1)
+    lo = np.append(0, np.arange(r.size - 1))
+    hi = np.append(m, np.arange(1, r.size))
+    h = r[hi] - r[lo]
+    c0, c1, c2 = q[lo], h * dq[lo], 0.5 * h**2 * d2q[lo]
+    y = q[hi] - (c0 + c1 + c2)
+    d = h * dq[hi] - (c1 + 2.0 * c2)
+    s = h**2 * d2q[hi] - 2.0 * c2
+    coef = [np.append(ck, end) for ck, end in zip(
+        (c0, c1, c2, 10.0 * y - 4.0 * d + 0.5 * s, -15.0 * y + 7.0 * d - s,
+         6.0 * y - 3.0 * d + 0.5 * s),
+        (q[-1], dq[-1], 0.5 * d2q[-1], 0.0, 0.0, 0.0))]
+    # the Taylor piece has h = 1, so its t is r - r_{k-1}
+    left, h = np.append(r[lo], r[-1]), np.append(h, 1.0)
 
     def derivative(order):
         # one column per piece: the t-coefficients of d^order q / dr^order,
         # highest degree first, then the piece's left knot and 1/h
         table = np.stack([math.perm(k, order) * coef[k] / h**order
-                          for k in range(5, order - 1, -1)] + [r[:-1], 1.0 / h])
+                          for k in range(5, order - 1, -1)] + [left, 1.0 / h])
 
         def evaluate(x):
             x = np.asarray(x, dtype=float)
-            c = table[:, np.searchsorted(interior, x, side="right")]
+            c = table[:, np.searchsorted(r, x, side="right")]
             t = (x - c[-2]) * c[-1]
             out = c[0]
             for ck in c[1:-2]:

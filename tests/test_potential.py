@@ -147,6 +147,39 @@ def test_tabulated_radial_nu_density_closed_form():
     assert np.max(np.abs(drop.nu_density(r.astype(complex)) - exact)) <= 1e-7
 
 
+@pytest.mark.parametrize("rows", [2400, 6000])
+def test_tabulated_radial_fine_table_past_its_last_knot(rows):
+    # fine tables ending at r = 6, short of make_custom_radial's probe
+    # (r <= 10) and compute_droplet's (r <= 10 sqrt(2 tau)): past the last
+    # knot q is that knot's Taylor quadratic, and the rounding of the end
+    # piece's c_3 .. c_5 does not grow with (r - 6) / h
+    x = np.linspace(6.0, 14.0, 801)[1:]
+    r = np.linspace(0.05, 6.0, rows)
+    prof = make_tabulated_radial(r, r**2, 2.0 * r, np.full_like(r, 2.0), 10.0).radial_profile
+    for got, exact in zip((prof.q(x), prof.dq(x), prof.d2q(x)), (x**2, 2.0 * x, 2.0)):
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-13
+    r = np.linspace(0.0, 6.0, rows)
+    pot = make_tabulated_radial(r, r**2 / 2 + r**4 / 4, r + r**3, 1.0 + 3.0 * r**2, 10.0)
+    prof, u = pot.radial_profile, x - 6.0
+    taylor = (342.0 + 222.0 * u + 54.5 * u**2, 222.0 + 109.0 * u, 109.0)
+    for got, exact in zip((prof.q(x), prof.dq(x), prof.d2q(x)), taylor):
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-13
+    assert abs(compute_droplet(pot, 1.0).radius - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("rows", [600, 6000])
+def test_tabulated_radial_fine_table_below_its_first_knot(rows):
+    # a quartic tabulated from r = 1 only: below the first knot the
+    # interpolant still reproduces it, with no (r_0 / h)^5 growth of rounding
+    r = np.linspace(1.0, 6.0, rows)
+    prof = make_tabulated_radial(r, r**2 / 2 + r**4 / 4, r + r**3, 1.0 + 3.0 * r**2,
+                                 10.0).radial_profile
+    x = np.geomspace(1e-3, 1.0, 300)
+    exact = (x**2 / 2 + x**4 / 4, x + x**3, 1.0 + 3.0 * x**2)
+    for got, want in zip((prof.q(x), prof.dq(x), prof.d2q(x)), exact):
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+
 def test_radial_profile_consistency():
     for pot in (make_ginibre(), make_radial_power(3)):
         prof = pot.radial_profile
