@@ -156,6 +156,11 @@ def draw_samples(cfg: dict, pot, m, n, seed: int, count: int, threads: int):
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     scfg = sampler_config(cfg, seed)
     per = [count // chains + (1 if i < count % chains else 0) for i in range(chains)]
+    if kind == "dpp":
+        # one kernel for every chain, its radial law built before any thread
+        # reads it (cached_property takes no lock from Python 3.12 on)
+        kern = weighted_kernel(pot, m, n)
+        kern.radial_law
 
     def run_chain(idx: int):
         rng = stream_rng(seed, idx)
@@ -165,7 +170,6 @@ def draw_samples(cfg: dict, pot, m, n, seed: int, count: int, threads: int):
                                   "potential with m = n only")
             return [sample_ginibre_matrix(n, rng) for _ in range(per[idx])]
         if kind == "dpp":
-            kern = weighted_kernel(pot, m, n)
             return [sample_dpp(kern, scfg, rng) for _ in range(per[idx])]
         if kind == "mcmc":
             return collect_mcmc(pot, m, n, scfg, rng, per[idx], chain_index=idx)

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss as _leggauss_uncached
+from numpy.polynomial.polynomial import polyfromroots, polyint
 
 from .potential import Potential, _solve_rdq, compute_droplet
 
@@ -319,14 +320,30 @@ def _panel(breaks, x):
     return np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, _PANELS - 1)
 
 
-def _law_mass(kern: WeightedKernel, a, b):
-    """8-node Gauss-Legendre integral of 2r R1(r)/n over each [a, b], and
-    R1(b)/n."""
-    x, w = leggauss(8)
-    half = 0.5 * (b - a)
-    t = np.concatenate([a[:, None] + half[:, None] * (x + 1.0), b[:, None]], axis=1)
-    dens = kern.one_point(t.astype(complex)) / kern.n
-    return half * ((2.0 * t[:, :-1] * dens[:, :-1]) @ w), dens[:, -1]
+@lru_cache(maxsize=1)
+def _antiderivative_map() -> np.ndarray:
+    """8 x 9 matrix taking the values g of a function at the 8 Gauss-Legendre
+    nodes t_i of [0, 1] to the coefficients of t^0 .. t^8 of int_0^t p, p the
+    degree-7 interpolant of g; row i integrates the Lagrange polynomial of t_i."""
+    t = 0.5 * (leggauss(8)[0] + 1.0)
+    rows = []
+    for i in range(8):
+        others = np.delete(t, i)
+        rows.append(polyint(polyfromroots(others) / np.prod(t[i] - others)))
+    out = np.array(rows)
+    out.flags.writeable = False  # one cached array for every caller
+    return out
+
+
+def _horner(coef, t):
+    """(F, dF/dt) at t of the polynomials with coefficient rows ``coef``,
+    lowest degree first."""
+    F = coef[:, -1]
+    dF = np.zeros_like(t)
+    for k in range(coef.shape[1] - 2, -1, -1):
+        dF = dF * t + F
+        F = F * t + coef[:, k]
+    return F, dF
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,15 +355,19 @@ class RadialLaw:
     ``radial_norms`` (_PANELS panels on [0, _norm_window]) from the 8-node
     Gauss-Legendre rule on each panel, divided by its total.  The norms come
     from the 16-node rule, so the total equals 1 to 1e-10 (trace = n) only
-    when both rules resolve every mode.  Quantiles come from the table by
-    linear interpolation in r^2 plus two Newton steps in r^2, where R1(0) > 0
-    keeps the slope away from zero; the same 8-node rule on the part of a
-    panel below r gives F between the edges.
+    when both rules resolve every mode.  The same node values give the CDF
+    inside panel j as a polynomial F_j(t) = table[j] + int_0^t p_j in
+    t = (r - e_j) / (e_{j+1} - e_j), p_j the degree-7 interpolant of the
+    density at the nodes; the rule is interpolatory, so F_j(1) = table[j+1]
+    to rounding.  ``coef`` holds the coefficients of t^0 .. t^8 of every F_j.
+    ``cdf`` evaluates F_j by Horner's rule, and ``quantile`` starts from the
+    table by linear interpolation in r^2 and takes three Newton steps on F_j,
+    whose derivative is p_j; neither calls the kernel.
     """
 
-    kern: WeightedKernel
     edges: np.ndarray
     table: np.ndarray
+    coef: np.ndarray
     total: float
     droplet_radius: float
 
@@ -354,37 +375,43 @@ class RadialLaw:
     def of(cls, kern: WeightedKernel) -> "RadialLaw":
         pot, m, n = kern.potential, kern.m, kern.n
         edges = np.linspace(0.0, _norm_window(pot, m, n), _PANELS + 1)
-        table = np.concatenate([[0.0], np.cumsum(_law_mass(kern, edges[:-1], edges[1:])[0])])
+        x, w = leggauss(8)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        r = edges[:-1, None] + half[:, None] * (x + 1.0)
+        dens = 2.0 * r * (kern.one_point(r.astype(complex)) / n)
+        table = np.concatenate([[0.0], np.cumsum(half * (dens @ w))])
         total = float(table[-1])
         if not abs(total - 1.0) <= 1e-10:
             raise GridResolutionError(
                 f"radial law has mass {total:.12f} on [0, {edges[-1]:.4g}], "
                 "not 1 (trace != n)")
-        return cls(kern=kern, edges=edges, table=table / total, total=total,
+        table /= total
+        coef = (2.0 * half / total)[:, None] * (dens @ _antiderivative_map())
+        coef[:, 0] = table[:-1]
+        return cls(edges=edges, table=table, coef=coef, total=total,
                    droplet_radius=compute_droplet(pot, n / m).radius)
 
-    def _in_panel(self, j, r):
-        """(F(r), dF/d(r^2)) for r in or near panel j."""
-        mass, dens = _law_mass(self.kern, self.edges[j], r)
-        return self.table[j] + mass / self.total, dens / self.total
-
     def cdf(self, r):
-        """P(|z| <= r) under R1/n (r in [0, r_cut])."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return self._in_panel(_panel(self.edges, r), r)[0]
+        """P(|z| <= r) under R1/n; r is clamped to [0, r_cut]."""
+        r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), 0.0, self.edges[-1])
+        j = _panel(self.edges, r)
+        lo, hi = self.edges[j], self.edges[j + 1]
+        return _horner(self.coef[j], (r - lo) / (hi - lo))[0]
 
     def quantile(self, u):
         """r with F(r) = u, for u in [0, 1)."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         j = _panel(self.table, u)
-        s_lo, s_hi = self.edges[j] ** 2, self.edges[j + 1] ** 2
+        lo, hi = self.edges[j], self.edges[j + 1]
         c_lo, c_hi = self.table[j], self.table[j + 1]
-        s = s_lo + (u - c_lo) / (c_hi - c_lo) * (s_hi - s_lo)
-        for _ in range(2):
-            F, slope = self._in_panel(j, np.sqrt(s))
-            step = np.divide(F - u, slope, out=np.zeros_like(s), where=slope > 0)
-            s = np.clip(s - step, 0.0, self.edges[-1] ** 2)
-        return np.sqrt(s)
+        s = lo ** 2 + (u - c_lo) / (c_hi - c_lo) * (hi ** 2 - lo ** 2)
+        t = (np.sqrt(s) - lo) / (hi - lo)
+        coef = self.coef[j]
+        for _ in range(3):
+            F, slope = _horner(coef, t)
+            step = np.divide(F - u, slope, out=np.zeros_like(t), where=slope > 0)
+            t = np.clip(t - step, 0.0, 1.0)
+        return lo + t * (hi - lo)
 
 
 def weighted_kernel(pot: Potential, m: float, n: int) -> WeightedKernel:

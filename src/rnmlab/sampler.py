@@ -108,7 +108,7 @@ def sample_dpp(kern: WeightedKernel, cfg: SamplerConfig,
                 break
             j += int(hit[0])
             v = feats[j] - (basis[:i].conj() @ feats[j]) @ basis[:i]
-            basis[i] = v / np.linalg.norm(v)
+            basis[i] = v / np.sqrt(np.vdot(v, v).real)
             points[i] = z[j]
             resid -= np.abs(feats @ basis[i].conj()) ** 2
             i += 1

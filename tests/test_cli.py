@@ -197,12 +197,13 @@ seed = 31
     assert outs[0] == outs[1]
 
 
-def test_clt_chains_deterministic_with_threads(tmp_path):
-    cfg = write_config(tmp_path, """
+@pytest.mark.parametrize("kind", ["matrix", "dpp"])
+def test_clt_chains_deterministic_with_threads(tmp_path, kind):
+    cfg = write_config(tmp_path, f"""
 n = 8
 samples = 40
 chains = 4
-sampler.kind = matrix
+sampler.kind = {kind}
 seed = 5
 """)
     blobs = []
@@ -418,24 +419,30 @@ def test_ginibre_cli_loads_no_scipy(tmp_path):
 
 
 def test_custom_field_cli_loads_no_scipy(tmp_path):
-    # a fresh interpreter: kernel and an mcmc sample on a tabulated profile
+    # a fresh interpreter: kernel, an mcmc sample and a dpp sample on a
+    # tabulated profile
     prof = _write_profile(tmp_path / "profile.csv", _quartic_profile(np.linspace(0.0, 6.0, 600)))
     (tmp_path / "exp.cfg").write_text(
         f"potential.family = custom\npotential.profile_file = {prof}\n"
         "n = 16\nsamples = 4\nsampler.kind = mcmc\nsampler.burn_in_sweeps = 100\n")
+    (tmp_path / "dpp.cfg").write_text(
+        f"potential.family = custom\npotential.profile_file = {prof}\n"
+        "n = 16\nsamples = 4\nsampler.kind = dpp\n")
     script = textwrap.dedent(f"""
         import sys
         import rnmlab.cli
 
-        for sub in ("kernel", "sample"):
-            code = rnmlab.cli.run([sub, "--config", {str(tmp_path / "exp.cfg")!r},
-                                   "--seed", "3", "--out", {str(tmp_path)!r} + "/" + sub])
-            assert code in (0, 1), f"{{sub}} exited {{code}}"
+        for sub, cfg, out in (("kernel", "exp", "kernel"), ("sample", "exp", "sample"),
+                              ("sample", "dpp", "sample_dpp")):
+            code = rnmlab.cli.run([sub, "--config", {str(tmp_path)!r} + "/" + cfg + ".cfg",
+                                   "--seed", "3", "--out", {str(tmp_path)!r} + "/" + out])
+            assert code in (0, 1), f"{{out}} exited {{code}}"
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-            assert not loaded, f"{{sub}} loaded {{loaded[:5]}}"
+            assert not loaded, f"{{out}} loaded {{loaded[:5]}}"
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sample" / "sample_summary.json").exists()
+    assert (tmp_path / "sample_dpp" / "sample_summary.json").exists()

@@ -80,11 +80,12 @@ def test_dpp_sample_size_and_finiteness(dpp_bank_n16):
         assert c.meta["proposals"] >= 16
 
 
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
 @pytest.mark.parametrize("p", [1, 2])
-def test_radial_law_matches_kostlan_mixture(p):
+def test_radial_law_matches_kostlan_mixture(p, n):
     # mode k of the power-p field puts m|z|^(2p) ~ Gamma((k+1)/p) (Kostlan's
     # law at p = 1), so the proposal law R1/n is the uniform mixture over k
-    n, m = 16, 16.0
+    m = float(n)
     law = weighted_kernel(make_radial_power(p), m, n).radial_law
     t = m * law.edges ** (2 * p)
     exact = np.mean([gamma.cdf(t, (k + 1) / p) for k in range(n)], axis=0)
@@ -95,6 +96,21 @@ def test_radial_law_matches_kostlan_mixture(p):
     t = m * r ** (2 * p)
     assert np.max(np.abs(np.mean([gamma.cdf(t, (k + 1) / p) for k in range(n)], axis=0)
                          - u)) <= 1e-12
+
+
+def test_radial_law_cdf_polynomials():
+    # the per-panel CDF polynomials meet the table at the edges, run from 0
+    # to 1 on [0, r_cut] and never decrease
+    law = weighted_kernel(make_radial_power(2), 64.0, 64).radial_law
+    assert np.max(np.abs(law.cdf(law.edges) - law.table)) <= 1e-15
+    # F_j(1) = table[j+1] up to the rounding of the monomial sum, whose
+    # coefficients reach a few thousand times the panel mass
+    below = np.nextafter(law.edges[1:], 0.0)
+    assert np.max(np.abs(law.cdf(below) - law.table[1:])) <= 2e-14
+    assert law.cdf(0.0)[0] == 0.0
+    r_cut = law.edges[-1]
+    assert np.all(law.cdf([r_cut, 1.5 * r_cut, 1e3]) == 1.0)
+    assert np.all(np.diff(law.cdf(np.linspace(0.0, r_cut, 10_000))) >= 0.0)
 
 
 @pytest.mark.parametrize("field, seed", [("power2", 41), ("spline", 42)])
