@@ -41,6 +41,10 @@ class Potential:
     (z*wbar)^p).  ``polarized_laplacian`` extends the quarter-Laplacian the
     same way; ``subleading_closed`` is (1/2) * lap(log lap Q) when known in
     closed form (identically 0 for the power family away from the origin).
+    ``subleading_atoms`` lists the point masses (point, mass) of the
+    correction measure nu = (1/2) lap(log lap Q) that a density cannot carry:
+    for |z|^(2p), log lap Q = const + (p - 1) log|z|^2 puts mass (p - 1)/2
+    at the origin.
     """
 
     name: str
@@ -53,6 +57,7 @@ class Potential:
     polarized_laplacian: Optional[Callable] = None
     polarized_subleading: Optional[Callable] = None
     subleading_closed: Optional[Callable] = None
+    subleading_atoms: tuple = ()
 
     def subleading_density(self, z, step: Optional[float] = None):
         """(1/2) lap(log lap Q) at z; closed form if known, else central
@@ -180,8 +185,10 @@ def make_radial_power(p: int) -> Potential:
         analytic_extension=lambda z, wbar: (_as_complex(z) * _as_complex(wbar)) ** p,
         polarized_laplacian=lambda z, wbar: p**2 * (_as_complex(z) * _as_complex(wbar)) ** (p - 1),
         polarized_subleading=lambda z, wbar: np.zeros_like(_as_complex(z) * _as_complex(wbar), dtype=complex),
-        # log lap Q = const + (p-1) log|z|^2 is harmonic away from the origin
+        # log lap Q = const + (p-1) log|z|^2 is harmonic away from the origin,
+        # and (1/2) lap of (p-1) log|z|^2 is mass (p-1)/2 at 0 (dA = d^2z/pi)
         subleading_closed=lambda z: np.zeros(np.asarray(z).shape, dtype=float),
+        subleading_atoms=((0j, 0.5 * (p - 1)),) if p > 1 else (),
     )
 
 

@@ -159,6 +159,15 @@ def mcmc_log_ratio(points: np.ndarray, i: int, proposal: complex,
                  - m * (float(pot.evaluate(proposal)) - float(pot.evaluate(lam))))
 
 
+def _log_dist2(a: np.ndarray, b: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """log |a_i - b_k|^2, with 0 (the square set to 1) at the flat indices
+    ``own``: the entries of a particle against itself, which the pair sums
+    leave out."""
+    d2 = np.abs(a[:, None] - b) ** 2
+    np.put(d2, own, 1.0)
+    return np.log(d2)
+
+
 def sample_mcmc(pot: Potential, m: float, n: int, cfg: SamplerConfig,
                 rng: np.random.Generator,
                 chain_index: int = 0) -> Iterator[PointConfiguration]:
@@ -170,18 +179,31 @@ def sample_mcmc(pot: Potential, m: float, n: int, cfg: SamplerConfig,
     because the scale moves with the particle, the acceptance ratio carries the
     usual asymmetric-proposal correction on top of the target ratio.
 
-    Particle i is still at its sweep-start position x_i when its turn comes,
-    so all but the pair term is one array over the n particles per sweep.
     Each sweep draws ``rng.standard_normal((2, n))`` (real and imaginary
-    parts of the steps) and then ``rng.random(n)`` (the acceptance
-    uniforms u), and forms s(x), the proposals
-    y = x + s(x) sqrt(1/2) (xi_0 + i xi_1), the backward scale s(y), the field
-    term -m (Q(y) - Q(x)), the correction
-    (-|y - x|^2/s(y)^2 - 2 log s(y)) - (-|y - x|^2/s(x)^2 - 2 log s(x)) and
-    log u.  Only the pair term 2 sum_{k != i} log(|y_i - lam_k| / |x_i - lam_k|)
-    is computed in the loop over i, against the current positions lam; a
-    collision (|y_i - lam_k| = 0) is a rejection.  ``mcmc_log_ratio`` is the
-    scalar form of the target part of this ratio.
+    parts xi of the steps) and then ``rng.random(n)`` (the acceptance
+    uniforms u).  From the sweep-start positions x it forms the proposals
+    y = x + s(x) sqrt(1/2) (xi_0 + i xi_1), and per particle the field term
+    -m (Q(y) - Q(x)) plus the correction e (1 - r) + log r, where
+    e = |y - x|^2 / s(x)^2 = (xi_0^2 + xi_1^2) / 2 and r = s(x)^2 / s(y)^2.
+    s and Q of the current positions are carried from sweep to sweep.
+
+    The pair term is two n x n log-distance matrices per sweep:
+    stay[i, k] = log(|y_i - x_k|^2 / |x_i - x_k|^2) is particle i's pair term
+    while every other particle sits at its sweep-start position, and
+    moved[i, k] = log(|y_i - y_k|^2 / |x_i - y_k|^2) its term against k once
+    k has moved.  Row sums of stay plus the rest of the log ratio minus log u
+    give each particle's margin.  Decisions then go in index order: particle
+    i moves iff its margin is > 0, and a move adds (moved - stay)[k, i] to the
+    margin of every later particle k, one slice update, so each particle sees
+    the current positions of those before it, as in the one-particle-at-a-time
+    chain.  log |x_i - x_k|^2 is carried from sweep to sweep too, so a sweep
+    computes the n x 2n matrix log |y_i - (x, y)_k|^2 and n x n sums and
+    differences, plus one Python-level comparison per particle.
+
+    A zero distance is log 0 = -inf, which makes the margin -inf or NaN, so a
+    collision is a rejection; so is (with probability zero) a proposal onto
+    the sweep-start position of an earlier particle that has since moved.
+    ``mcmc_log_ratio`` is the scalar form of the target part of the ratio.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -192,34 +214,51 @@ def sample_mcmc(pot: Potential, m: float, n: int, cfg: SamplerConfig,
     # lap Q floor keeps the step finite where the field degenerates (origin
     # of higher power fields)
     floor = float(pot.laplacian(complex(0.5 * radius)))
+    root_half = np.sqrt(0.5)
 
-    def step_scale(z):
-        return cfg.proposal_scale / np.sqrt(m * np.maximum(pot.laplacian(z), floor))
+    def half_scale(z):
+        # s(z) sqrt(1/2), the spread of each coordinate of a step
+        return cfg.proposal_scale / np.sqrt(m * np.maximum(pot.laplacian(z), floor)) * root_half
 
     points = radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    # own entries of the n x 2n matrix against (x, y): y_i - x_i and y_i - y_i
+    own = np.arange(n) * (2 * n + 1)
+    own = np.concatenate((own, own + n))
+    # carried from sweep to sweep: s sqrt(1/2), Q and log|x_i - x_k|^2 at the
+    # current positions
+    half = half_scale(points)
+    q = pot.evaluate(points)
+    xx = _log_dist2(points, points, np.arange(n) * (n + 1))
     accepted = 0
     warned = False
     sweep = 0
     while True:
-        start = points.copy()
-        s = step_scale(start)
         xi = rng.standard_normal((2, n))
-        prop = start + s * np.sqrt(0.5) * (xi[0] + 1j * xi[1])
-        s_back = step_scale(prop)
-        d2 = np.abs(prop - start) ** 2
-        log_rest = (-m * (pot.evaluate(prop) - pot.evaluate(start))
-                    + (-d2 / s_back**2 - 2.0 * np.log(s_back))
-                    - (-d2 / s**2 - 2.0 * np.log(s)))
+        prop = points + half * (xi[0] + 1j * xi[1])
+        half_prop = half_scale(prop)
+        q_prop = pot.evaluate(prop)
+        r = (half / half_prop) ** 2
+        log_rest = -m * (q_prop - q) + 0.5 * (xi ** 2).sum(axis=0) * (1.0 - r) + np.log(r)
         log_u = np.log(rng.random(n))
-        with np.errstate(divide="ignore"):  # log 0 = -inf rejects a collision
+        with np.errstate(divide="ignore", invalid="ignore"):
+            both = _log_dist2(prop, np.concatenate((points, prop)), own)
+            yx, yy = both[:, :n], both[:, n:]  # log|y_i - x_k|^2, log|y_i - y_k|^2
+            stay = yx - xx
+            margin = stay.sum(axis=1) + (log_rest - log_u)
+            # delta[i, k] = (moved - stay)[k, i], the change in k's margin
+            # when i moves (the matrix is symmetric)
+            delta = yy - yx.T - stay
+            acc = np.zeros(n, dtype=bool)
             for i in range(n):
-                num = prop[i] - points
-                den = start[i] - points
-                num[i] = den[i] = 1.0
-                pair = 2.0 * np.sum(np.log(np.abs(num / den)))
-                if log_u[i] < pair + log_rest[i]:
-                    points[i] = prop[i]
+                if margin[i] > 0.0:
+                    acc[i] = True
                     accepted += 1
+                    margin[i + 1:] += delta[i, i + 1:]
+        points = np.where(acc, prop, points)
+        half = np.where(acc, half_prop, half)
+        q = np.where(acc, q_prop, q)
+        # entry (i, k) of the new xx by (i moved, k moved): yy, yx, yx.T, xx
+        xx = np.where(acc[:, None], np.where(acc, yy, yx), np.where(acc, yx.T, xx))
         sweep += 1
         if sweep < cfg.burn_in_sweeps:
             continue

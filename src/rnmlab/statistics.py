@@ -200,11 +200,16 @@ def equilibrium_integral(g: TestFunction, drop: Droplet) -> float:
 
 @lru_cache(maxsize=32)
 def mean_prediction(g: TestFunction, drop: Droplet) -> float:
-    """Limiting fluctuation mean: the correction-measure integral of g."""
+    """Limiting fluctuation mean: the correction-measure integral of g, its
+    density part on the disk plus sum mass * g(point) over the field's atoms
+    (the origin of a power field |z|^(2p), p >= 2)."""
     z, w = _disk_rule(0.0, drop.radius)
     vals = np.asarray(g.value(z), dtype=float)
     dens = np.asarray(drop.nu_density(z), dtype=float)
-    return float(np.sum(w * vals * dens))
+    total = float(np.sum(w * vals * dens))
+    for point, mass in drop.potential.subleading_atoms:
+        total += mass * float(np.real(g.value(complex(point))))
+    return total
 
 
 # ---------------------------------------------------------------------------

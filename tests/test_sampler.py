@@ -253,15 +253,18 @@ def _reference_mcmc(pot, m, n, cfg, rng, count):
 @pytest.mark.parametrize("field", ["ginibre", "power2"])
 def test_mcmc_sweep_matches_scalar_reference(field):
     # power-2 has a non-constant lap Q, so the correction term is exercised;
-    # a step that reads sweep-start instead of current positions fails here
+    # a step that reads sweep-start instead of current positions fails here.
+    # n = 1 has no pair term; n = 33 is odd and longer than numpy's 8-wide
+    # pairwise-sum blocks
     pot = make_ginibre() if field == "ginibre" else make_radial_power(2)
-    n, m = 8, 8.0
     cfg = SamplerConfig(master_seed=11, burn_in_sweeps=1, thin_stride=1)
-    got = collect_mcmc(pot, m, n, cfg, stream_rng(11, 0), 3)
-    want = _reference_mcmc(pot, m, n, cfg, stream_rng(11, 0), 3)
-    for conf, (pts, rate) in zip(got, want):
-        assert np.max(np.abs(conf.points - pts)) <= 1e-12
-        assert conf.meta["acceptance_rate"] == rate
+    for n in (1, 2, 8, 33):
+        m = float(n)
+        got = collect_mcmc(pot, m, n, cfg, stream_rng(11, 0), 6)
+        want = _reference_mcmc(pot, m, n, cfg, stream_rng(11, 0), 6)
+        for conf, (pts, rate) in zip(got, want):
+            assert np.max(np.abs(conf.points - pts)) <= 1e-12
+            assert conf.meta["acceptance_rate"] == rate
 
 
 def test_mcmc_mean_square_sum_exact():

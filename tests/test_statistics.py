@@ -138,6 +138,32 @@ def test_prediction_caches_stay_bounded(ginibre):
 def test_mean_prediction_zero_for_ginibre(ginibre_droplet):
     assert mean_prediction(bump(0.0, 0.5), ginibre_droplet) == pytest.approx(0.0, abs=1e-14)
     assert mean_prediction(bump(0.2, 0.3), ginibre_droplet) == pytest.approx(0.0, abs=1e-14)
+    # nor has |z|^2 as the power family's p = 1 an atom at the origin
+    assert make_ginibre().subleading_atoms == make_radial_power(1).subleading_atoms == ()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_mean_prediction_power_field_origin_atom(p):
+    # nu = (1/2) lap log lap Q of |z|^(2p) has mass (p-1)/2 at the origin and
+    # no density elsewhere; the exact finite-n mean C_1 - n int g dsigma of
+    # the centred bump approaches it from below, the gap shrinking at every
+    # 4x step of n (0.211, 0.109, 0.051 for p = 2; 0.676, 0.508, 0.329 for
+    # p = 3); with the atom left out (e_g = 0) the gap would grow instead
+    from rnmlab.cumulants import dpp_cumulant
+    from rnmlab.orthopoly import default_grid, weighted_kernel
+    pot = make_radial_power(p)
+    drop = compute_droplet(pot, 1.0)
+    g = bump(0.0, 0.5)
+    e_g = mean_prediction(g, drop)
+    assert e_g == pytest.approx(0.5 * (p - 1), abs=1e-14)
+    assert mean_prediction(bump(0.3, 0.2), drop) == pytest.approx(0.0, abs=1e-14)
+    gaps = []
+    for n in (16, 64, 256):
+        kern = weighted_kernel(pot, float(n), n)
+        c1 = dpp_cumulant(kern, default_grid(pot, float(n), n), g, 1)
+        gaps.append(e_g - (c1 - n * equilibrium_integral(g, drop)))
+    assert gaps[0] > 0.0
+    assert all(0.0 < b <= 0.8 * a for a, b in zip(gaps, gaps[1:]))
 
 
 def test_clt_report_bulk_support_enforced(ginibre_droplet, matrix_bank_n16):
