@@ -38,27 +38,36 @@ class BerezinKernel:
     def density(self, w):
         return np.exp(self.log_density(w))
 
-    def density_grid(self, radii, thetas) -> np.ndarray:
-        """Density on the product grid radii x thetas, shape (n_r, n_theta).
-
-        The anchored kernel factorizes into a (radius x mode) @ (mode x angle)
-        product, which is far cheaper than point-wise evaluation on large
-        grids.
-        """
-        radii = np.asarray(radii, dtype=float)
-        thetas = np.asarray(thetas, dtype=float)
+    def _ring_modes(self, radii, n_theta: int):
+        """Ring r's angular profile as Fourier coefficients: the density at
+        angle 2 pi t / n_theta is |sum_j a[r, j] e^{-2 pi i j t / n_theta}|^2
+        scale[r].  a[r, k] = P[r, k] e^{i k theta0}, with P the anchored
+        kernel's modes over their ring maximum; modes beyond n_theta fold
+        onto k mod n_theta, the grid's own aliasing."""
         kern = self.kernel
         k = np.arange(kern.n)
         th0 = np.angle(self.anchor) if self.anchor != 0 else 0.0
-        logmag = kern.log_modes(self.anchor) + kern.log_modes(radii)
+        logmag = kern.log_modes(self.anchor) + kern.log_modes(np.asarray(radii, dtype=float))
         shift = np.max(logmag, axis=1)
-        P = np.exp(logmag - shift[:, None])
-        E = np.exp(1j * k[:, None] * (th0 - thetas)[None, :])
-        S = P @ E
-        return np.abs(S) ** 2 * np.exp(2.0 * shift - self.log_r1_anchor)[:, None]
+        a = np.exp(logmag - shift[:, None]) * np.exp(1j * k * th0)
+        if kern.n > n_theta:
+            a = np.pad(a, ((0, 0), (0, -kern.n % n_theta)))
+            a = a.reshape(a.shape[0], -1, n_theta).sum(axis=1)
+        return a, np.exp(2.0 * shift - self.log_r1_anchor)
+
+    def density_grid(self, radii, n_theta: int) -> np.ndarray:
+        """Density on the product grid radii x (n_theta uniform angles
+        2 pi t / n_theta), shape (n_r, n_theta): one FFT of length n_theta
+        per ring."""
+        a, scale = self._ring_modes(radii, n_theta)
+        return np.abs(np.fft.fft(a, n=n_theta, axis=1)) ** 2 * scale[:, None]
 
     def mass(self, grid: QuadratureGrid) -> float:
-        return float(grid.integrate(self.density_grid(grid.radial_nodes, grid.thetas)))
+        """Grid mass of the density, at no angle: by Parseval each ring's
+        angular mean is sum_j |a[r, j]|^2 scale[r], so the node sum is
+        ``ring_weights`` against those means."""
+        a, scale = self._ring_modes(grid.radial_nodes, grid.n_theta)
+        return float(grid.ring_weights @ (np.sum(np.abs(a) ** 2, axis=1) * scale))
 
 
 def _berezin_kernel_unchecked(kern: WeightedKernel, z0: complex) -> BerezinKernel:
@@ -102,7 +111,7 @@ def berezin_transform(kern: WeightedKernel, f, z0: complex,
     if grid is None:
         grid = default_grid(kern.potential, kern.m, kern.n)
     bk = berezin_kernel(kern, z0)
-    dens = bk.density_grid(grid.radial_nodes, grid.thetas)
+    dens = bk.density_grid(grid.radial_nodes, grid.n_theta)
     vals = np.asarray(np.real(f.value(grid.nodes)), dtype=float)
     value = float(grid.integrate(vals * dens.ravel()))
     quarter_lap_f = 0.25 * float(np.real(f.laplacian_std(z0c)))
@@ -266,7 +275,7 @@ def exterior_harmonic_measure_check(kern: WeightedKernel,
     # far anchors legitimately underflow R1 itself; the density ratio stays
     # representable in the log domain, so skip the point-wise guard here
     bk = _berezin_kernel_unchecked(kern, z0)
-    dens = bk.density_grid(r, thetas)
+    dens = bk.density_grid(r, grid.n_theta)
 
     marginal = rw @ dens  # density w.r.t. d theta
     poisson = exterior_poisson_density(z0, radius, thetas)

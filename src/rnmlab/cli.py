@@ -175,7 +175,9 @@ def draw_samples(cfg: dict, pot, m, n, seed: int, count: int, threads: int):
             return collect_mcmc(pot, m, n, scfg, rng, per[idx], chain_index=idx)
         raise ConfigError(f"unknown sampler kind {kind!r}")
 
-    if threads > 1 and chains > 1:
+    # mcmc chains run serially: their sweep is Python bytecode under the
+    # interpreter lock, so pooled chains take turns and lose to one thread
+    if threads > 1 and chains > 1 and kind != "mcmc":
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(run_chain, range(chains)))
     else:

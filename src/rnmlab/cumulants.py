@@ -257,6 +257,39 @@ def _angular_moment(M, rw, h):
     return A
 
 
+def _moment_series(kern: WeightedKernel, grid: QuadratureGrid, g, k: int):
+    """(radial, (B_1, ..., B_k)): B_p = A_p / p! of g on the grid, by the
+    route of ``dpp_cumulant``.  The kernel's memo holds the B_p of one
+    (grid, g), matched by identity, and a call extends them to order k, so
+    C_2, C_3 and C_4 of one statistic build each B_p once; the values do
+    not depend on the order of the calls.  g's values on the grid are not
+    held (as many nodes as the grid, against k n^2 entries for the B_p):
+    an extension evaluates g again."""
+    r = grid.radial_nodes
+    rw = grid.ring_weights
+    logm = kern.log_modes(r)  # log|psi_j(r)|: (radial node, mode)
+    T = np.exp(2.0 * logm) * rw[:, None]
+    trace = float(np.sum(T))
+    if abs(trace - kern.n) > 1e-4:
+        raise GridResolutionError(
+            f"grid too coarse: trace {trace:.6f} deviates from n = {kern.n}")
+    radial = _is_radial(g)
+    held = kern.memo.get("moments")
+    B = held[2] if held is not None and held[0] is grid and held[1] is g else ()
+    if len(B) < k:
+        if radial:
+            points = r.astype(complex)
+            moment = lambda h: T.T @ h  # diagonal of A_p
+        else:
+            points = grid.nodes
+            M = np.exp(logm)
+            moment = lambda h: _angular_moment(M, rw, h.reshape(r.size, grid.n_theta))
+        gv = np.asarray(np.real(_value_fn(g)(points)), dtype=float)
+        B += tuple(moment(gv**p) / math.factorial(p) for p in range(len(B) + 1, k + 1))
+        kern.memo["moments"] = (grid, g, B)
+    return radial, B[:k]
+
+
 def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int) -> float:
     """Exact finite-n cumulant C_k of the linear statistic of g, any k >= 1:
     k! times the lambda^k coefficient of the Fredholm log-determinant
@@ -276,29 +309,16 @@ def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int) -> float
       g^p on ring r at frequency l - j (``_angular_moment``): the grid sum in
       another order, exact for any n_theta.
 
-    The trace guard checks the kernel's grid mass, tr A_0 = n.
+    The B_p come from the kernel's moment series (``_moment_series``), so
+    the orders of one statistic on one grid share them.  The trace guard
+    checks the kernel's grid mass, tr A_0 = n.
     """
     if k < 1:
         raise ValueError("cumulant order must be >= 1")
 
-    val = _value_fn(g)
-    r = grid.radial_nodes
-    rw = grid.ring_weights
-    logm = kern.log_modes(r)  # log|psi_j(r)|: (radial node, mode)
-    T = np.exp(2.0 * logm) * rw[:, None]
-    trace = float(np.sum(T))
-    if _is_radial(g):
-        points, mul, tr = r.astype(complex), np.multiply, np.sum
-        moment = lambda h: T.T @ h  # diagonal of A_p
-    else:
-        points, mul, tr = grid.nodes, np.matmul, np.trace
-        M = np.exp(logm)
-        moment = lambda h: _angular_moment(M, rw, h.reshape(r.size, grid.n_theta))
-    if abs(trace - kern.n) > 1e-4:
-        raise GridResolutionError(
-            f"grid too coarse: trace {trace:.6f} deviates from n = {kern.n}")
-    gv = np.asarray(np.real(val(points)), dtype=float)
-    B = [None] + [moment(gv**p) / math.factorial(p) for p in range(1, k + 1)]
+    radial, B = _moment_series(kern, grid, g, k)
+    mul, tr = (np.multiply, np.sum) if radial else (np.matmul, np.trace)
+    B = (None,) + B
     W = [None]  # W_0 = I is never formed
     for q in range(1, k):
         W.append(-B[q] - sum(mul(B[p], W[q - p]) for p in range(1, q)))

@@ -8,7 +8,7 @@ overflow; only the (bounded) weighted combinations are exponentiated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -215,6 +215,10 @@ class WeightedKernel:
 
     basis: OrthonormalBasis
     potential: Potential
+    # Results that depend on this kernel, so they live and die with it (the
+    # moment series of cumulants.dpp_cumulant).  Each entry is replaced whole
+    # by one store, so threads sharing a kernel at worst repeat work.
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> float:

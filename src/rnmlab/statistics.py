@@ -314,6 +314,8 @@ def covariance_check(samples: Sequence[PointConfiguration], f: TestFunction,
                      g: TestFunction, drop: Droplet) -> CovarianceCheck:
     """Empirical covariance of the two fluctuation statistics against the
     polarized Dirichlet prediction (1/4) int grad f . grad g dA."""
+    if len(samples) < 2:
+        raise ValueError(f"covariance_check needs at least 2 samples, got {len(samples)}")
     xf = fluct_values(samples, f, drop)
     xg = fluct_values(samples, g, drop)
     n = len(xf)

@@ -60,6 +60,45 @@ def test_density_nonnegative(kern32, grid32):
     assert np.all(dens >= 0.0)
 
 
+@pytest.mark.parametrize("n, n_theta, ring_step", [
+    pytest.param(32, 12, 1, id="aliased-n32-ntheta12"),
+    pytest.param(256, None, 40, id="default-n256"),
+])
+def test_density_grid_matches_pointwise(pot, n, n_theta, ring_step):
+    # one FFT per ring against the point-wise kernel on the grid's own nodes;
+    # at n_theta < n the modes fold mod n_theta as the grid angles alias them
+    kern = weighted_kernel(pot, float(n), n)
+    grid = default_grid(pot, float(n), n, n_theta=n_theta)
+    radii = grid.radial_nodes[::ring_step]
+    for anchor in (0.3 + 0.2j, -0.5j):
+        bk = berezin_kernel(kern, anchor)
+        dens = bk.density(radii[:, None] * np.exp(1j * grid.thetas)[None, :])
+        assert np.allclose(bk.density_grid(radii, grid.n_theta), dens,
+                           rtol=1e-9, atol=1e-12 * np.max(dens))
+
+
+def _product_grid_mass(bk, grid):
+    """The grid sum of the density through the (ring x mode) @ (mode x angle)
+    product: the oracle of the Parseval mass."""
+    kern = bk.kernel
+    logmag = kern.log_modes(bk.anchor) + kern.log_modes(grid.radial_nodes)
+    shift = np.max(logmag, axis=1)
+    k = np.arange(kern.n)
+    S = np.exp(logmag - shift[:, None]) @ \
+        np.exp(1j * k[:, None] * (np.angle(bk.anchor) - grid.thetas)[None, :])
+    dens = np.abs(S) ** 2 * np.exp(2.0 * shift - bk.log_r1_anchor)[:, None]
+    return float(grid.integrate(dens))
+
+
+@pytest.mark.parametrize("n, n_theta", [(32, None), (32, 12), (128, None)])
+def test_mass_is_product_grid_sum(pot, n, n_theta):
+    kern = weighted_kernel(pot, float(n), n)
+    grid = default_grid(pot, float(n), n, n_theta=n_theta)
+    for anchor in (0.0, 0.4 - 0.3j, 1.2j):
+        bk = berezin_kernel(kern, anchor)
+        assert bk.mass(grid) == pytest.approx(_product_grid_mass(bk, grid), rel=1e-13)
+
+
 def test_underflowing_anchor_raises(pot):
     kern = weighted_kernel(pot, 64.0, 64)
     with pytest.raises(AnchorError, match="log-domain"):

@@ -197,7 +197,7 @@ seed = 31
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("kind", ["matrix", "dpp"])
+@pytest.mark.parametrize("kind", ["matrix", "dpp", "mcmc"])
 def test_clt_chains_deterministic_with_threads(tmp_path, kind):
     cfg = write_config(tmp_path, f"""
 n = 8

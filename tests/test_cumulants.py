@@ -1,10 +1,15 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 
+import rnmlab.cumulants
 from rnmlab.cumulants import (composition_terms, compositions,
                               diagonal_laplacian_check, dpp_cumulant,
                               g_k_eval, gaussian_pair_integrals,
@@ -323,6 +328,81 @@ def test_radial_basis_never_builds_features(ginibre_pot, monkeypatch):
     monkeypatch.setattr(WeightedKernel, "features", no_features)
     c2 = dpp_cumulant(kern, grid, bump(0.3 + 0.2j, 0.4), 2)
     assert 0.0 < c2 < 1.0
+
+
+def test_moment_series_independent_of_call_order(ginibre_pot, monkeypatch):
+    # the kernel's series is extended on demand and replaced when the grid
+    # or the statistic changes; every value equals a fresh kernel's bit for bit
+    n = 24
+    grid = default_grid(ginibre_pot, float(n), n)
+    other = default_grid(ginibre_pot, float(n), n, n_theta=128)
+    g, h = bump(0.3 + 0.2j, 0.4), bump(0.0, 0.5)
+    expect = {(id(gr), id(f), k): dpp_cumulant(weighted_kernel(ginibre_pot, float(n), n),
+                                               gr, f, k)
+              for gr in (grid, other) for f in (g, h) for k in (2, 3, 4)}
+    built = []
+    original = rnmlab.cumulants._angular_moment
+    monkeypatch.setattr(rnmlab.cumulants, "_angular_moment",
+                        lambda *a: built.append(1) or original(*a))
+    kern = weighted_kernel(ginibre_pot, float(n), n)
+    for gr, f, k in [(grid, g, 4), (grid, g, 2), (other, g, 3), (grid, g, 3),
+                     (grid, h, 2), (grid, g, 2), (grid, h, 4), (grid, h, 3)]:
+        assert dpp_cumulant(kern, gr, f, k) == expect[id(gr), id(f), k]
+    assert len(built) == 4 + 3 + 3 + 2  # off-centre g: one build per order of each new series
+    built.clear()
+    for k in (2, 3, 4):
+        dpp_cumulant(kern, grid, g, k)
+    assert len(built) == 4  # C_2, C_3, C_4 of one statistic: B_1..B_4 once
+
+
+def test_moment_series_dies_with_its_kernel(ginibre_pot):
+    n = 16
+    kern = weighted_kernel(ginibre_pot, float(n), n)
+    grid, replaced = (default_grid(ginibre_pot, float(n), n) for _ in range(2))
+    g = bump(0.3 + 0.2j, 0.4)
+    dpp_cumulant(kern, replaced, g, 3)
+    dpp_cumulant(kern, grid, g, 3)
+    refs = [weakref.ref(obj) for obj in (kern, grid, replaced)]
+    del kern, grid, replaced
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_moment_series_shared_by_threads(ginibre_pot):
+    # threads sharing one kernel replace its series whole: a lost store only
+    # repeats work, and every value still equals a fresh kernel's
+    n = 16
+    grid = default_grid(ginibre_pot, float(n), n, n_theta=64)
+    stats = [bump(0.3 + 0.2j, 0.4), bump(-0.2j, 0.3), bump(0.0, 0.5)]
+    jobs = [(f, k) for f in stats for k in (4, 2, 3)]
+    expect = [dpp_cumulant(weighted_kernel(ginibre_pot, float(n), n), grid, f, k)
+              for f, k in jobs]
+    kern = weighted_kernel(ginibre_pot, float(n), n)
+    results, errors = {}, []
+
+    def worker(w):
+        try:
+            for rep in range(3):
+                for i in range(w, w + len(jobs)):
+                    i %= len(jobs)
+                    results[w, rep, i] = dpp_cumulant(kern, grid, *jobs[i])
+        except Exception as exc:  # reported below: a thread's error is lost otherwise
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 6 * 3 * len(jobs)
+    assert all(v == expect[i] for (_, _, i), v in results.items())
 
 
 def test_grid_gate_rejects_coarse_grid(ginibre_pot):

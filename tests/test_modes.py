@@ -38,7 +38,7 @@ def test_radial_evaluators_agree(field, n, tau, u):
     radii = radius * np.linspace(0.05, 1.5, 7)
     thetas = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
     dens = bk.density(radii[:, None] * np.exp(1j * thetas)[None, :])
-    grid_dens = bk.density_grid(radii, thetas)
+    grid_dens = bk.density_grid(radii, 5)
     assert np.allclose(grid_dens, dens, rtol=1e-9, atol=1e-12 * np.max(dens))
 
     kern_n = weighted_kernel(pot, float(n), n)

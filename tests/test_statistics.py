@@ -241,6 +241,15 @@ def test_covariance_bilinearity(matrix_bank_n64, ginibre_droplet):
     assert sym.empirical == pytest.approx(a.empirical, rel=1e-12)
 
 
+@pytest.mark.parametrize("size", [0, 1])
+def test_covariance_needs_two_samples(matrix_bank_n64, ginibre_droplet, size):
+    # below 2 samples the sample covariance is undefined: an error, not nan
+    g = bump(0.0, 0.5)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        covariance_check(matrix_bank_n64[:size], g, g, ginibre_droplet)
+    assert np.isfinite(covariance_check(matrix_bank_n64[:2], g, g, ginibre_droplet).empirical)
+
+
 # ---------------------------------------------------------------------------
 # exponential tilting
 
