@@ -237,57 +237,63 @@ def gaussian_pair_integrals() -> PairIntegrals:
                          L_same=complex(L_same), L_opposite=complex(L_opposite))
 
 
-def _is_radial(g) -> bool:
-    return bool(getattr(g, "radial", False))
+def _moment_matrices(kern: WeightedKernel, grid: QuadratureGrid, g, powers):
+    """(B_p for p in powers), B_p = A_p / p! of g on the grid, from one product.
 
-
-def _angular_moment(M, rw, h):
-    """A[j, l] = sum_r rw_r M[r, j] M[r, l] c(r, l - j) for real h on the
-    (radial node, angle) product grid, c(r, d) the mean of h e^{i d theta}
-    over ring r.  A is Hermitian, so it is filled from its diagonals d >= 0;
-    frequencies alias mod n_theta exactly as the grid sum does."""
-    n, n_theta = M.shape[1], h.shape[1]
-    c = np.fft.ifft(h, axis=1) * rw[:, None]
-    A = np.empty((n, n), dtype=complex)
+    M[r, j] M[r, l] = r^{j+l} e^{-mq(r)} / sqrt(h_j h_l) depends on j + l
+    alone.  With V[r, s] = ring_weight_r r^s e^{-mq(r) - c_s} (s < 2n - 1,
+    c_s the column's log-maximum) and C_p[r, d] the mean of g^p e^{i d theta}
+    over ring r, G_p = V^T C_p gives the Hermitian A_p, for l >= j
+    A_p[j, l] = e^{c_{j+l} - (log h_j + log h_l)/2} G_p[j + l, l - j].  log h
+    is convex, so the prefactor is at most about e^{c_s} / h_{s/2}.  A radial
+    g is sampled on the radial nodes, its ring means, and keeps d < D = 1;
+    any other g on the whole grid, with d < D = n aliasing mod n_theta
+    exactly as the grid sum does.
+    """
+    n, r, lh = kern.n, grid.radial_nodes, kern.basis.log_norms
+    logv = np.arange(2 * n - 1) * np.log(r)[:, None] \
+        - kern.m * np.asarray(kern.potential.evaluate(r), dtype=float)[:, None]
+    c = logv.max(axis=0)
+    V = np.exp(logv - c) * grid.ring_weights[:, None]
+    if getattr(g, "radial", False):
+        D, z = 1, r.astype(complex)
+    else:
+        D, z = n, grid.nodes
+    gv = np.asarray(np.real(_value_fn(g)(z)), dtype=float).reshape(r.size, -1)
+    C = [np.fft.ifft(gv**p, axis=1)[:, np.arange(D) % gv.shape[1]] for p in powers]
+    # one real product on a contiguous array: each entry is the same for any
+    # number of powers, so a series extended in steps is bit-identical
+    G = V.T @ np.concatenate([x.real for x in C] + [x.imag for x in C], axis=1)
+    P = len(C)
+    band = np.zeros((P, 2 * n - 1, n), dtype=complex)  # G_p[s, d], zero for d >= D
+    band[..., :D] = (G[:, :P * D] + 1j * G[:, P * D:]).reshape(-1, P, D).swapaxes(0, 1)
     j = np.arange(n)
-    for d in range(n):
-        diag = (M[:, :n - d] * M[:, d:]).T @ c[:, d % n_theta]
-        A[j[d:], j[:n - d]] = np.conj(diag)
-        A[j[:n - d], j[d:]] = diag
-    return A
+    s, d = j[:, None] + j, j - j[:, None]
+    A = np.take(band.reshape(P, -1), (s * n + np.abs(d)).ravel(), axis=1).reshape(P, n, n)
+    np.conjugate(A, out=A, where=d < 0)
+    A *= np.exp(c[s] - 0.5 * (lh[:, None] + lh)) \
+        / np.array([math.factorial(p) for p in powers], dtype=float)[:, None, None]
+    return tuple(A)
 
 
 def _moment_series(kern: WeightedKernel, grid: QuadratureGrid, g, k: int):
-    """(radial, (B_1, ..., B_k)): B_p = A_p / p! of g on the grid, by the
-    route of ``dpp_cumulant``.  The kernel's memo holds the B_p of one
-    (grid, g), matched by identity, and a call extends them to order k, so
-    C_2, C_3 and C_4 of one statistic build each B_p once; the values do
-    not depend on the order of the calls.  g's values on the grid are not
-    held (as many nodes as the grid, against k n^2 entries for the B_p):
-    an extension evaluates g again."""
-    r = grid.radial_nodes
-    rw = grid.ring_weights
-    logm = kern.log_modes(r)  # log|psi_j(r)|: (radial node, mode)
-    T = np.exp(2.0 * logm) * rw[:, None]
-    trace = float(np.sum(T))
-    if abs(trace - kern.n) > 1e-4:
-        raise GridResolutionError(
-            f"grid too coarse: trace {trace:.6f} deviates from n = {kern.n}")
-    radial = _is_radial(g)
+    """(B_1, ..., B_k) of g on the grid (``_moment_matrices``).  The kernel's
+    memo holds the B_p of one (grid, g), matched by identity, and a call
+    extends them to order k, so C_2, C_3 and C_4 of one statistic build each
+    B_p once; the values do not depend on the order of the calls.  g's
+    values on the grid are not held (as many nodes as the grid, against
+    k n^2 entries for the B_p): an extension evaluates g again.  Before a
+    build, the trace guard checks the kernel's grid mass, tr A_0 = n."""
     held = kern.memo.get("moments")
     B = held[2] if held is not None and held[0] is grid and held[1] is g else ()
     if len(B) < k:
-        if radial:
-            points = r.astype(complex)
-            moment = lambda h: T.T @ h  # diagonal of A_p
-        else:
-            points = grid.nodes
-            M = np.exp(logm)
-            moment = lambda h: _angular_moment(M, rw, h.reshape(r.size, grid.n_theta))
-        gv = np.asarray(np.real(_value_fn(g)(points)), dtype=float)
-        B += tuple(moment(gv**p) / math.factorial(p) for p in range(len(B) + 1, k + 1))
+        trace = kern.trace_on(grid)
+        if abs(trace - kern.n) > 1e-4:
+            raise GridResolutionError(
+                f"grid too coarse: trace {trace:.6f} deviates from n = {kern.n}")
+        B += _moment_matrices(kern, grid, g, range(len(B) + 1, k + 1))
         kern.memo["moments"] = (grid, g, B)
-    return radial, B[:k]
+    return B[:k]
 
 
 def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int) -> float:
@@ -296,33 +302,22 @@ def dpp_cumulant(kern: WeightedKernel, grid: QuadratureGrid, g, k: int) -> float
     log E e^{lambda sum g} = log det(I + sum_{p>=1} lambda^p A_p / p!).
 
     The moment matrices are the grid quadratures
-    A_p[j, l] = sum_a w_a conj(psi_j(z_a)) g(z_a)^p psi_l(z_a).  With
-    B_p = A_p / p! and the inverse series W_0 = I,
+    A_p[j, l] = sum_a w_a conj(psi_j(z_a)) g(z_a)^p psi_l(z_a), summed in
+    another order by one Hankel-Toeplitz product (``_moment_matrices``),
+    exact for any n_theta; they come from the kernel's moment series
+    (``_moment_series``), so the orders of one statistic on one grid share
+    them.  With B_p = A_p / p! and the inverse series W_0 = I,
     W_q = -sum_{p<=q} B_p W_{q-p}, the derivative of the log-determinant
     gives C_k = (k-1)! sum_{p<=k} p tr(B_p W_{k-p}): O(k^2) products of
-    n x n matrices.  psi_j(r e^{i theta}) = M[r, j] e^{i j theta} on the
-    polar grid, so A_p comes by one of two routes:
-
-    - radial g: A_p is a diagonal radial quadrature and the products are
-      elementwise;
-    - any other g: A_p[j, l] sums M[r, j] M[r, l] over r against the FFT of
-      g^p on ring r at frequency l - j (``_angular_moment``): the grid sum in
-      another order, exact for any n_theta.
-
-    The B_p come from the kernel's moment series (``_moment_series``), so
-    the orders of one statistic on one grid share them.  The trace guard
-    checks the kernel's grid mass, tr A_0 = n.
+    n x n matrices, diagonal ones for a radial g.
     """
     if k < 1:
         raise ValueError("cumulant order must be >= 1")
-
-    radial, B = _moment_series(kern, grid, g, k)
-    mul, tr = (np.multiply, np.sum) if radial else (np.matmul, np.trace)
-    B = (None,) + B
+    B = (None,) + _moment_series(kern, grid, g, k)
     W = [None]  # W_0 = I is never formed
     for q in range(1, k):
-        W.append(-B[q] - sum(mul(B[p], W[q - p]) for p in range(1, q)))
-    total = k * tr(B[k]) + sum(p * np.sum(B[p] * W[k - p].T) for p in range(1, k))
+        W.append(-B[q] - sum(B[p] @ W[q - p] for p in range(1, q)))
+    total = k * np.trace(B[k]) + sum(p * np.sum(B[p] * W[k - p].T) for p in range(1, k))
     total = complex(math.factorial(k - 1) * total)
     if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
         raise FloatingPointError(f"cumulant came out non-real: {total}")

@@ -176,7 +176,10 @@ def radial_norms(pot: Potential, m: float, n: int) -> OrthonormalBasis:
     step = max(1, _CHUNK // r.size)
     for lo in range(0, n, step):
         k = np.arange(lo, min(n, lo + step))
-        L, s = _shifted_phase_sum(base + k[:, None] * lr2)
+        terms = k[:, None] * lr2
+        terms += base
+        L, s = _shifted_phase_sum(terms)
+        del terms  # freed before the next chunk allocates its own
         logs[lo:lo + step] = L + np.log(s)
     return OrthonormalBasis(m=float(m), n=int(n), potential=pot, log_norms=logs)
 
@@ -187,10 +190,10 @@ def radial_norms(pot: Potential, m: float, n: int) -> OrthonormalBasis:
 
 def _shifted_phase_sum(logmag, phase=None, axis=-1):
     """(L, s) with sum exp(logmag + i*phase) = exp(L) * s, L the running max;
-    without a phase the sum is real."""
+    without a phase the sum is real.  Shifts and exponentiates logmag in place."""
     L = np.max(logmag, axis=axis, keepdims=True)
     L = np.where(np.isfinite(L), L, 0.0)
-    terms = np.subtract(logmag, L)
+    terms = np.subtract(logmag, L, out=logmag)
     np.exp(terms, out=terms)
     if phase is not None:
         terms = terms * np.exp(1j * phase)

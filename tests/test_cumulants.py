@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
@@ -17,7 +18,7 @@ from rnmlab.cumulants import (composition_terms, compositions,
                               stirling2_recurrence, zero_sum_identity)
 from rnmlab.orthopoly import (GridResolutionError, QuadratureGrid, WeightedKernel,
                               default_grid, weighted_kernel)
-from rnmlab.potential import compute_droplet, make_ginibre
+from rnmlab.potential import compute_droplet, make_ginibre, make_radial_power
 from rnmlab.sampler import sample_ginibre_matrix, stream_rng
 from rnmlab.statistics import (bump, equilibrium_integral, fluct_values,
                                variance_prediction)
@@ -232,17 +233,33 @@ def test_third_cumulant_decays(ginibre_pot):
 
 def test_radial_and_general_paths_agree(ginibre_pot):
     n = 12
-    kern = weighted_kernel(ginibre_pot, float(n), n)
-    grid = default_grid(ginibre_pot, float(n), n, n_radial=200, n_theta=64)
     g_rad = bump(0.0, 0.5)
     g_gen = bump(0.1, 0.5)  # off-center: forces the full moment-matrix path
-    for k in (1, 2, 3):
-        fast = dpp_cumulant(kern, grid, g_rad, k)
-        # same statistic through the full moment matrices by disabling the radial flag
-        from dataclasses import replace
-        slow = dpp_cumulant(kern, grid, replace(g_rad, radial=False), k)
-        assert fast == pytest.approx(slow, rel=1e-8, abs=1e-10)
-        dpp_cumulant(kern, grid, g_gen, k)  # must run without error
+    for pot in (ginibre_pot, make_radial_power(2)):
+        kern = weighted_kernel(pot, float(n), n)
+        grid = default_grid(pot, float(n), n, n_radial=200, n_theta=64)
+        for k in (1, 2, 3, 4):
+            fast = dpp_cumulant(kern, grid, g_rad, k)
+            # same statistic through every frequency band by disabling the radial flag
+            slow = dpp_cumulant(kern, grid, replace(g_rad, radial=False), k)
+            assert fast == pytest.approx(slow, rel=1e-8, abs=1e-10)
+            dpp_cumulant(kern, grid, g_gen, k)  # must run without error
+
+
+@pytest.mark.parametrize("pot", [make_ginibre(), make_radial_power(2)],
+                         ids=["ginibre", "power2"])
+def test_all_frequencies_match_ring_means_at_n512(pot):
+    # every band d < n of the moment matrices carries the prefactor
+    # e^{c_{j+l} - (log h_j + log h_l)/2}; at n = 512 it must stay finite
+    # and leave the centred bump's C_2 where the d = 0 band puts it
+    n = 512
+    kern = weighted_kernel(pot, float(n), n)
+    grid = default_grid(pot, float(n), n)
+    g = bump(0.0, 0.5)
+    ring = dpp_cumulant(kern, grid, g, 2)
+    full = dpp_cumulant(kern, grid, replace(g, radial=False), 2)
+    assert np.isfinite(full)
+    assert full == pytest.approx(ring, rel=0, abs=1e-12)
 
 
 def test_cumulant_shift_invariance(ginibre_pot):
@@ -254,7 +271,6 @@ def test_cumulant_shift_invariance(ginibre_pot):
     grid = default_grid(ginibre_pot, float(n), n, n_radial=200, n_theta=64)
     g = bump(0.0, 0.5)
     t = 1.7
-    from dataclasses import replace
     scaled = replace(
         g,
         value=lambda z, f=g.value: t * f(z),
@@ -340,15 +356,16 @@ def test_moment_series_independent_of_call_order(ginibre_pot, monkeypatch):
     expect = {(id(gr), id(f), k): dpp_cumulant(weighted_kernel(ginibre_pot, float(n), n),
                                                gr, f, k)
               for gr in (grid, other) for f in (g, h) for k in (2, 3, 4)}
-    built = []
-    original = rnmlab.cumulants._angular_moment
-    monkeypatch.setattr(rnmlab.cumulants, "_angular_moment",
-                        lambda *a: built.append(1) or original(*a))
+    built = []  # the orders p of every B_p built
+    original = rnmlab.cumulants._moment_matrices
+    monkeypatch.setattr(rnmlab.cumulants, "_moment_matrices",
+                        lambda kern, gr, f, powers: built.extend(powers)
+                        or original(kern, gr, f, powers))
     kern = weighted_kernel(ginibre_pot, float(n), n)
     for gr, f, k in [(grid, g, 4), (grid, g, 2), (other, g, 3), (grid, g, 3),
                      (grid, h, 2), (grid, g, 2), (grid, h, 4), (grid, h, 3)]:
         assert dpp_cumulant(kern, gr, f, k) == expect[id(gr), id(f), k]
-    assert len(built) == 4 + 3 + 3 + 2  # off-centre g: one build per order of each new series
+    assert len(built) == 4 + 3 + 3 + 2 + 2 + 4  # one build per order of each new series
     built.clear()
     for k in (2, 3, 4):
         dpp_cumulant(kern, grid, g, k)
