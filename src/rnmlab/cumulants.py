@@ -206,7 +206,8 @@ def gaussian_pair_integrals() -> PairIntegrals:
 
     The (r, rho) part of the integrand depends on the angles only through
     theta - phi, so the 4-D tensor sum is assembled from a radial reduction
-    V(psi) followed by the full double angular sum.
+    V(psi) followed by the full double angular sum.  V is summed for
+    psi <= pi in one product; V(2 pi - psi) = conj V(psi) gives the rest.
     """
     n_radial, n_theta, r_max = 96, 112, 7.0
     x, w = leggauss(n_radial)
@@ -218,9 +219,11 @@ def gaussian_pair_integrals() -> PairIntegrals:
     rr = r[:, None]
     pp = r[None, :]
     weight = (wr[:, None] * wr[None, :]) * (rr * pp) ** 2  # measure r dr * prefactor r
-    V = np.empty(n_theta, dtype=complex)
-    for l, ps in enumerate(psi):
-        V[l] = np.sum(weight * np.exp(rr * pp * np.exp(1j * ps) - rr**2 - pp**2))
+    upper = n_theta // 2 + 1  # psi_l <= pi
+    arg = np.multiply.outer(rr * pp, np.exp(1j * psi[:upper]))
+    arg -= (rr**2 + pp**2)[..., None]
+    V = weight.ravel() @ np.exp(arg, out=arg).reshape(weight.size, upper)
+    V = np.concatenate([V, np.conj(V[1:n_theta - upper + 1][::-1])])
 
     idx = np.arange(n_theta)
     diff = (idx[:, None] - idx[None, :]) % n_theta

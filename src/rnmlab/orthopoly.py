@@ -8,6 +8,7 @@ overflow; only the (bounded) weighted combinations are exponentiated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -104,6 +105,9 @@ def default_grid(pot: Potential, m: float, n: int,
 # radial norms
 
 
+_NORM_CUT = 40.0  # log-units by which the top integrand falls at the window's end
+
+
 def _norm_window(pot: Potential, m: float, n: int) -> float:
     """r past which r^{2n-1} e^{-m q(r)}, the integrand of h_{n-1}, stays
     below e^{-40} of its peak; every h_k with k < n decays faster there."""
@@ -121,7 +125,7 @@ def _norm_window(pot: Potential, m: float, n: int) -> float:
             raise DivergentNormError(
                 f"h_{n - 1} diverges for m={m}, n={n}: need m/n > 1/rho (rho = {rho})")
     r_peak = _solve_rdq(prof.dq, a / m, 1e-12, hi)
-    floor = ell(r_peak) - 40.0
+    floor = ell(r_peak) - _NORM_CUT
     r_cut = max(r_peak, 1e-3)
     while ell(r_cut) > floor:
         r_cut *= 1.25
@@ -160,8 +164,19 @@ def radial_norms(pot: Potential, m: float, n: int) -> OrthonormalBasis:
 
     One composite rule, _PANELS equal panels x 16 Gauss-Legendre nodes on
     [0, _norm_window] (past which even the top integrand has fallen by
-    e^{-40}), gives every log h_k in one pass, each sum shifted by its largest
-    term.  A divergent top norm (n/m beyond the growth exponent) raises
+    e^{-40}), gives every log h_k, each sum shifted by its largest term.
+    Mode k is summed only on its live panels (``_norm_bands``): those whose
+    larger edge value of (2k+1) log r - m q(r) is within T of the top edge
+    value, which drops less than e^{-40} of h_k when lap Q >= 0 makes that
+    function concave in log r.  A group of consecutive modes shares one
+    window that starts at the group's first band and covers every band of
+    the group, so no term needs masking; groups hold at most _CHUNK terms.
+    All windows have one width (the last ones cut short at r_cut): the
+    widest band plus a slack that balances the terms it adds (n * slack
+    panels) against the groups it saves (about span / slack, span =
+    lo_{n-1} - lo_0), taking a group's fixed cost, a dozen numpy calls, as
+    that of one mode summed over all _PANELS panels.
+    A divergent top norm (n/m beyond the growth exponent) raises
     DivergentNormError.
     """
     if pot.radial_profile is None:
@@ -172,16 +187,62 @@ def radial_norms(pot: Potential, m: float, n: int) -> OrthonormalBasis:
     base = np.log(2.0 * half * np.tile(w, _PANELS) * r) \
         - m * np.asarray(pot.radial_profile.q(r), dtype=float)
     lr2 = 2.0 * np.log(r)
+    lo, hi = _norm_bands(pot, m, n, 2.0 * half * np.arange(_PANELS + 1))
+    slack = math.sqrt(_PANELS * (lo[-1] - lo[0]) / n) if n else 0.0
+    width = min(_PANELS, int(np.max(hi - lo, initial=1)) + math.ceil(slack))
+    cap = max(1, _CHUNK // (w.size * width))
     logs = np.empty(n)
-    step = max(1, _CHUNK // r.size)
-    for lo in range(0, n, step):
-        k = np.arange(lo, min(n, lo + step))
-        terms = k[:, None] * lr2
-        terms += base
-        L, s = _shifted_phase_sum(terms)
-        del terms  # freed before the next chunk allocates its own
-        logs[lo:lo + step] = L + np.log(s)
+    k0 = 0
+    while k0 < n:
+        s = lo[k0]
+        # lo and hi grow with k: the group ends before the first band
+        # that leaves the window
+        k1 = k0 + 1 + int(np.searchsorted(hi[k0 + 1:k0 + cap], s + width, side="right"))
+        win = slice(w.size * s, w.size * (s + width))
+        terms = np.arange(k0, k1)[:, None] * lr2[win]
+        terms += base[win]
+        L, total = _shifted_phase_sum(terms)
+        logs[k0:k1] = L + np.log(total)
+        k0 = k1
     return OrthonormalBasis(m=float(m), n=int(n), potential=pot, log_norms=logs)
+
+
+def _norm_bands(pot: Potential, m: float, n: int, edges: np.ndarray):
+    """Panels [lo_k, hi_k) on which the integrand of h_k lives, for k < n;
+    panel j of the rule lies between ``edges[j]`` and ``edges[j + 1]``.
+
+    f_k(r) = (2k+1) log r - m q(r), the log of the integrand up to 2, is
+    concave in log r when r q'(r) is nondecreasing (lap Q >= 0, the premise
+    ``_solve_rdq`` also needs).  So on a panel that does not hold the peak
+    of f_k the largest term sits at an edge, and f_k at the edges bounds
+    every term there.  A panel is live when its larger edge value is within
+    T of the top edge value; the two panels at the top edge, one of which
+    holds the peak, are live by that rule.  T is the window's cut plus
+    log(node count) plus log(largest / smallest Gauss-Legendre weight), so
+    the dropped terms together weigh less than e^{-40} times a term of the
+    smallest weight at the top edge value.
+    Rows of f differ by 2 log r, which grows with r, so lo and hi are
+    nondecreasing in k.
+    """
+    w = leggauss(16)[1]
+    panels = edges.size - 1
+    cut = _NORM_CUT + np.log(w.size * panels) + np.log(w.max() / w.min())
+    with np.errstate(divide="ignore"):
+        log_e = np.log(edges)  # -inf at the origin, never live
+    mq = m * np.asarray(pot.radial_profile.q(edges), dtype=float)
+    lo = np.empty(n, dtype=int)
+    hi = np.empty(n, dtype=int)
+    step = max(1, _CHUNK // edges.size)
+    for k0 in range(0, n, step):
+        f = (2.0 * np.arange(k0, min(n, k0 + step)) + 1.0)[:, None] * log_e
+        f -= mq
+        live = f >= f.max(axis=1, keepdims=True) - cut
+        first = live.argmax(axis=1)
+        last = panels - live[:, ::-1].argmax(axis=1)
+        # every panel with a live edge
+        lo[k0:k0 + step] = np.maximum(first - 1, 0)
+        hi[k0:k0 + step] = np.minimum(last + 1, panels)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -228,9 +228,17 @@ def fluct_value(cfg: PointConfiguration, g: TestFunction, drop: Droplet) -> floa
 
 def fluct_values(samples: Sequence[PointConfiguration], g: TestFunction,
                  drop: Droplet) -> np.ndarray:
-    base = equilibrium_integral(g, drop)
-    return np.array([float(np.sum(np.real(g.value(c.points)))) - len(c.points) * base
-                     for c in samples])
+    """``fluct_value`` of every configuration of a bank, with g evaluated
+    once over the stacked (N, n) points; a bank of mixed sizes n raises
+    ValueError."""
+    if len(samples) == 0:
+        return np.empty(0)
+    sizes = sorted({c.points.size for c in samples})
+    if len(sizes) > 1:
+        raise ValueError(f"fluct_values needs configurations of one size, got sizes {sizes}")
+    points = np.stack([c.points for c in samples])
+    return np.sum(np.real(g.value(points)), axis=1) \
+        - points.shape[1] * equilibrium_integral(g, drop)
 
 
 def _skewness(x):

@@ -4,12 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from rnmlab.orthopoly import (DivergentNormError, QuadratureGrid,
-                              UnsupportedPotentialError, bergman_approx,
+from rnmlab.orthopoly import (_PANELS, DivergentNormError, QuadratureGrid,
+                              UnsupportedPotentialError, _norm_bands, _norm_window,
+                              bergman_approx,
                               default_grid, diagonal_expansion_residual,
                               fit_decay_rate, nystrom_matrix, offdiagonal_decay_profile,
                               radial_norms, weighted_kernel)
-from rnmlab.potential import make_custom_radial, make_ginibre, make_radial_power
+from rnmlab.potential import (make_custom_radial, make_ginibre, make_radial_power,
+                              make_tabulated_radial)
 
 from conftest import spline_field
 
@@ -71,16 +73,98 @@ def test_spline_norms_match_knot_rule():
     assert np.allclose(radial_norms(pot, m, n).log_norms, exact, rtol=0.0, atol=1e-12)
 
 
-def test_divergent_norm_raises():
-    # logarithmic growth: q = rho log(1+r^2) keeps lap Q > 0 but the norms
-    # diverge once the degree outruns m * rho
-    rho = 1.0
-    pot = make_custom_radial(
+def _log1p_field(rho=1.0):
+    return make_custom_radial(
         q=lambda r: rho * np.log1p(np.asarray(r, dtype=float) ** 2),
         dq=lambda r: 2.0 * rho * np.asarray(r) / (1.0 + np.asarray(r) ** 2),
         d2q=lambda r: 2.0 * rho * (1.0 - np.asarray(r) ** 2) / (1.0 + np.asarray(r) ** 2) ** 2,
         growth_exponent=rho,
     )
+
+
+def _tabulated_quartic():
+    # the table the CI's custom-field step writes: q = r^2/2 + r^4/4 on [0, 6]
+    r = np.linspace(0.0, 6.0, 600)
+    return make_tabulated_radial(r, r**2 / 2 + r**4 / 4, r + r**3, 1.0 + 3.0 * r**2, 10.0)
+
+
+_NORM_FIELDS = {
+    "ginibre-1024": (make_ginibre, 1024.0, 1024),
+    "power2-256": (lambda: make_radial_power(2), 256.0, 256),
+    "power3-64": (lambda: make_radial_power(3), 64.0, 64),
+    "quartic-64": (_tabulated_quartic, 64.0, 64),
+    "log1p-24": (_log1p_field, 40.0, 24),
+}
+
+
+def _dense_norm_terms(pot, m, n, k):
+    """log of every term of the norm rule for the modes k: rows of
+    k log r^2 + log(node weight * 2r) - m q(r) over all _PANELS x 16 nodes."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * _norm_window(pot, m, n) / _PANELS
+    r = (half * (2.0 * np.arange(_PANELS)[:, None] + x + 1.0)).ravel()
+    base = np.log(2.0 * half * np.tile(w, _PANELS) * r) - m * pot.radial_profile.q(r)
+    return k[:, None] * 2.0 * np.log(r) + base
+
+
+@pytest.mark.parametrize("case", list(_NORM_FIELDS))
+def test_banded_norms_match_dense_sum(case):
+    make, m, n = _NORM_FIELDS[case]
+    pot = make()
+    got = radial_norms(pot, m, n).log_norms
+    for k in np.array_split(np.arange(n), max(1, n // 128)):
+        terms = _dense_norm_terms(pot, m, n, k)
+        peak = terms.max(axis=1)
+        dense = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+        assert np.all(np.abs(got[k] - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+
+
+@pytest.mark.parametrize("case", ["ginibre-1024", "power3-64", "quartic-64", "log1p-24"])
+def test_norm_bands_drop_below_window_cut(case):
+    # the terms outside each mode's band weigh less than e^-40 of its norm,
+    # the cut of the window itself, and the largest term is inside
+    make, m, n = _NORM_FIELDS[case]
+    pot = make()
+    half = 0.5 * _norm_window(pot, m, n) / _PANELS
+    lo, hi = _norm_bands(pot, m, n, 2.0 * half * np.arange(_PANELS + 1))
+    k = np.arange(0, n, max(1, n // 64))
+    terms = _dense_norm_terms(pot, m, n, k)
+    shifted = np.exp(terms - terms.max(axis=1, keepdims=True))
+    inside = np.zeros_like(shifted, dtype=bool)
+    for row, j in enumerate(k):
+        inside[row, 16 * lo[j]:16 * hi[j]] = True
+    assert np.all(inside[np.arange(k.size), terms.argmax(axis=1)])
+    outside = np.where(inside, 0.0, shifted).sum(axis=1) / shifted.sum(axis=1)
+    assert np.all(outside < math.exp(-40.0))
+
+
+def test_norm_bands_keep_peak_panel():
+    # on coarse panels no edge but the top one is within the cut of the top
+    # edge value; the peak lies in one of the two panels at that edge
+    pot, m, n = make_ginibre(), 4096.0, 4096
+    edges = np.linspace(0.0, 1.5, 7)  # peaks of the top modes near r = 1
+    lo, hi = _norm_bands(pot, m, n, edges)
+    f = (2.0 * (n - 1) + 1.0) * np.log(edges[1:]) - m * edges[1:] ** 2
+    top = 1 + int(np.argmax(f))
+    assert np.sort(f)[-2] < f.max() - 60.0  # a lone live edge
+    assert (lo[-1], hi[-1]) == (top - 1, top + 1)
+    assert np.all(lo <= hi - 1)
+
+
+@pytest.mark.parametrize("p, n", [(1, 4096), (2, 1024)])
+def test_gamma_oracle_large_n(p, n):
+    pot = make_ginibre() if p == 1 else make_radial_power(p)
+    basis = radial_norms(pot, float(n), n)
+    k = np.arange(n)
+    exact = np.array([math.lgamma((j + 1) / p) for j in k]) - math.log(p) \
+        - (k + 1) / p * math.log(n)
+    assert np.all(np.abs(basis.log_norms - exact) <= 1e-13 * np.maximum(1.0, np.abs(exact)))
+
+
+def test_divergent_norm_raises():
+    # logarithmic growth: q = rho log(1+r^2) keeps lap Q > 0 but the norms
+    # diverge once the degree outruns m * rho
+    pot = _log1p_field(rho=1.0)
     with pytest.raises(DivergentNormError, match="m/n > 1/rho"):
         radial_norms(pot, 4.0, 8)
     # at m = 3.6, n = 3 the top integrand falls only like r^{-2.2}: no window

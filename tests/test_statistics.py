@@ -120,6 +120,26 @@ def test_fluct_linearity(ginibre_droplet, matrix_bank_n16):
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("bank, g", [
+    ("matrix_bank_n64", bump(0.0, 0.5)),
+    ("dpp_bank_n16", bump(0.3 + 0.2j, 0.4)),
+    ("matrix_bank_n16", re_coordinate(2.0, 3.0)),
+])
+def test_fluct_values_match_per_configuration_loop(request, ginibre_droplet, bank, g):
+    samples = request.getfixturevalue(bank)
+    loop = np.array([fluct_value(c, g, ginibre_droplet) for c in samples])
+    got = fluct_values(samples, g, ginibre_droplet)
+    assert got.dtype == loop.dtype and got.tobytes() == loop.tobytes()
+
+
+def test_fluct_values_empty_and_ragged_banks(ginibre_droplet):
+    g = bump(0.0, 0.5)
+    assert fluct_values([], g, ginibre_droplet).shape == (0,)
+    ragged = [PointConfiguration(points=np.zeros(k), meta={}) for k in (3, 4, 3)]
+    with pytest.raises(ValueError, match=r"sizes \[3, 4\]"):
+        fluct_values(ragged, g, ginibre_droplet)
+
+
 def test_prediction_caches_stay_bounded(ginibre):
     # droplets hash by identity, so every fresh droplet is a new cache key
     g = bump(0.0, 0.5)
