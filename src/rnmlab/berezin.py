@@ -14,8 +14,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .orthopoly import (_PANELS, OrthonormalBasis, QuadratureGrid, WeightedKernel,
-                        _norm_window, _shifted_phase_sum, default_grid, leggauss,
-                        radial_norms, weighted_kernel)
+                        _panel_rule, _shifted_phase_sum, default_grid, radial_norms,
+                        weighted_kernel)
 from .potential import Potential, compute_droplet, make_ginibre
 
 
@@ -132,7 +132,7 @@ def conditional_basis(pot: Potential, n: int) -> OrthonormalBasis:
     shifted by one degree."""
     base = radial_norms(pot, float(n), n)
     return OrthonormalBasis(m=float(n), n=n - 1, potential=pot,
-                            log_norms=base.log_norms[1:].copy())
+                            log_norms=base.log_norms[1:].copy(), r_cut=base.r_cut)
 
 
 def _pinned_one_point(kern: WeightedKernel, z) -> np.ndarray:
@@ -208,23 +208,20 @@ def wavefunction_measure(pot: Potential, n: int,
     | |z| - R | < halfwidth, and the angular uniformity defect (identically 0
     for radial fields, where the density is radial).
 
-    Both masses are composite Gauss-Legendre sums of the radial density.
-    The total takes the 8-node rule on the _PANELS panels of
-    [0, _norm_window] that ``RadialLaw`` uses; the norm h_{n-1} came from the
+    Both masses are composite Gauss-Legendre sums (``_panel_rule``) of the
+    radial density.  The total takes the 8-node rule on the _PANELS panels of
+    [0, r_cut] that ``RadialLaw`` uses; the norm h_{n-1} came from the
     16-node rule, so a total of 1 checks one rule against the other.  The
     ring takes the 16-node rule on panels of that width or narrower.
     """
     kern = weighted_kernel(pot, float(n), n)
     radius = compute_droplet(pot, 1.0).radius
-    window = _norm_window(pot, float(n), n)
+    window = kern.basis.r_cut
 
     def mass(a, b, panels, order):
         # the density in r includes the 2r of dA
-        x, w = leggauss(order)
-        half = 0.5 * (b - a) / panels
-        r = (a + half * (2.0 * np.arange(panels)[:, None] + x + 1.0)).ravel()
-        return float(np.tile(half * w, panels)
-                     @ (2.0 * r * np.exp(2.0 * kern.log_modes(r)[:, n - 1])))
+        r, w = _panel_rule(a, b, panels, order)
+        return float(w @ (2.0 * r * np.exp(2.0 * kern.log_modes(r)[:, n - 1])))
 
     total = mass(0.0, window, _PANELS, 8)
     lo = max(radius - ring_halfwidth, 0.0)

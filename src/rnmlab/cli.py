@@ -363,13 +363,13 @@ def cmd_cumulants(cfg, args, rep: Reporter) -> int:
     kmax = int(cfg_get(cfg, "cumulants.k_max", 3))
     g = build_test_function(cfg)
     v_pred = st.variance_prediction(g)
+    drop = compute_droplet(pot, tau)
     rows = []
     results = {}
     for n in n_list:
         m = n / tau
         kern = weighted_kernel(pot, m, int(n))
         grid = default_grid(pot, m, int(n))
-        drop = compute_droplet(pot, tau)
         for k in range(1, kmax + 1):
             ck = cu.dpp_cumulant(kern, grid, g, k)
             pred = {1: int(n) * st.equilibrium_integral(g, drop) +
@@ -446,8 +446,7 @@ def cmd_boundary(cfg, args, rep: Reporter) -> int:
     f = st.re_coordinate(taper_start=2.0 * drop.radius, taper_end=3.0 * drop.radius)
     pred = st.boundary_statistics(f, drop)
     rep.extra["prediction"] = {"e_f": pred.e_f, "v_f2": pred.v_f2}
-    rng = stream_rng(seed, 0)
-    samples = [sample_ginibre_matrix(n, rng) for _ in range(count)]
+    samples, _ = draw_samples(cfg, pot, m, n, seed, count, args.threads)
     vals = st.fluct_values(samples, f, drop)
     rep.write_csv("boundary_fluct.csv", ["sample_id", "fluct"],
                   [[i, float(v)] for i, v in enumerate(vals)])

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .orthopoly import GridResolutionError, QuadratureGrid, WeightedKernel, leggauss
+from .orthopoly import GridResolutionError, QuadratureGrid, WeightedKernel
 
 ExactRational = Fraction
 
@@ -74,27 +74,18 @@ def stirling2_recurrence(k: int, j: int) -> Fraction:
 
 
 def zero_sum_identity(k: int) -> Fraction:
-    """sum_j (-1)^(j-1)/j sum_{compositions} 1/(k_1!...k_j!); exactly 0 for k >= 2."""
-    total = Fraction(0)
-    for j in range(1, k + 1):
-        lead = Fraction((-1) ** (j - 1), j)
-        for parts in compositions(k, j):
-            total += lead / math.prod(math.factorial(p) for p in parts)
-    return total
+    """sum_j (-1)^(j-1)/j sum_{compositions} 1/(k_1!...k_j!), the sum of the
+    ``composition_terms`` coefficients over k!; exactly 0 for k >= 2."""
+    return sum((t.coefficient for t in composition_terms(k)), Fraction(0)) \
+        / math.factorial(k)
+
 
 def s_k(k: int) -> Fraction:
     """Exact value of the quadratic composition sum
-    sum_j (-1)^(j-1)/j sum k!(sum_i k_i(k_i-1))/(k_1!...k_j!);
-    equals 2 at k = 2 and 0 for every k >= 3."""
-    total = Fraction(0)
-    kfac = math.factorial(k)
-    for j in range(1, k + 1):
-        lead = Fraction((-1) ** (j - 1), j)
-        for parts in compositions(k, j):
-            quad = sum(p * (p - 1) for p in parts)
-            total += lead * Fraction(kfac * quad,
-                                     math.prod(math.factorial(p) for p in parts))
-    return total
+    sum_j (-1)^(j-1)/j sum k!(sum_i k_i(k_i-1))/(k_1!...k_j!) over the
+    ``composition_terms``; equals 2 at k = 2 and 0 for every k >= 3."""
+    return sum((t.coefficient * sum(p * (p - 1) for p in t.parts)
+                for t in composition_terms(k)), Fraction(0))
 
 
 def _value_fn(g) -> Callable:
@@ -184,9 +175,7 @@ def mixed_derivative_sum(g, lam: complex, k: int) -> complex:
     total = 0.0 + 0.0j
     for i in range(k):
         for j in range(i + 1, k):
-            coarse = one_pair(i, j, _FD_STEP)
-            fine = one_pair(i, j, 0.5 * _FD_STEP)
-            total += (4.0 * fine - coarse) / 3.0
+            total += _richardson(lambda h: one_pair(i, j, h), _FD_STEP)
     return complex(total)
 
 
@@ -209,11 +198,8 @@ def gaussian_pair_integrals() -> PairIntegrals:
     V(psi) followed by the full double angular sum.  V is summed for
     psi <= pi in one product; V(2 pi - psi) = conj V(psi) gives the rest.
     """
-    n_radial, n_theta, r_max = 96, 112, 7.0
-    x, w = leggauss(n_radial)
-    r = 0.5 * r_max * (x + 1.0)
-    wr = 0.5 * r_max * w
-    psi = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    grid = QuadratureGrid.disk(7.0, n_radial=96, n_theta=112)
+    r, wr, psi, n_theta = grid.radial_nodes, grid.radial_weights, grid.thetas, grid.n_theta
     dtheta = 2.0 * np.pi / n_theta
 
     rr = r[:, None]

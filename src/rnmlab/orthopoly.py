@@ -139,16 +139,27 @@ def _norm_window(pot: Potential, m: float, n: int) -> float:
 _PANELS = 512  # panels of the composite radial rule on [0, _norm_window]
 
 
+def _panel_rule(a: float, b: float, panels: int, order: int):
+    """(nodes, weights) of the composite rule on [a, b]: ``order``
+    Gauss-Legendre nodes on each of ``panels`` equal panels, panel by panel."""
+    x, w = leggauss(order)
+    half = 0.5 * (b - a) / panels
+    r = (a + half * (2.0 * np.arange(panels)[:, None] + x + 1.0)).ravel()
+    return r, np.tile(half * w, panels)
+
+
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
     """Orthonormal basis of analytic polynomials of degree < n for a radial
     weight e^{-mQ}: phi_k = z^k / sqrt(h_k), stored as log h_k, the log of
-    the squared monomial norms."""
+    the squared monomial norms.  ``r_cut`` ends the radial rule of the norms
+    (``_norm_window``)."""
 
     m: float
     n: int
     potential: Potential
     log_norms: np.ndarray
+    r_cut: float
 
     # A class attribute, not a field: the benchmark's span tracer
     # (bench/tracer.py) still reads ``basis.mode`` to name a cumulant path.
@@ -181,16 +192,14 @@ def radial_norms(pot: Potential, m: float, n: int) -> OrthonormalBasis:
     """
     if pot.radial_profile is None:
         raise UnsupportedPotentialError("radial_norms needs a radial profile")
-    x, w = leggauss(16)
-    half = 0.5 * _norm_window(pot, m, max(n, 1)) / _PANELS
-    r = (half * (2.0 * np.arange(_PANELS)[:, None] + x + 1.0)).ravel()
-    base = np.log(2.0 * half * np.tile(w, _PANELS) * r) \
-        - m * np.asarray(pot.radial_profile.q(r), dtype=float)
+    r_cut = _norm_window(pot, m, max(n, 1))
+    r, w = _panel_rule(0.0, r_cut, _PANELS, 16)
+    base = np.log(2.0 * w * r) - m * np.asarray(pot.radial_profile.q(r), dtype=float)
     lr2 = 2.0 * np.log(r)
-    lo, hi = _norm_bands(pot, m, n, 2.0 * half * np.arange(_PANELS + 1))
+    lo, hi = _norm_bands(pot, m, n, np.linspace(0.0, r_cut, _PANELS + 1))
     slack = math.sqrt(_PANELS * (lo[-1] - lo[0]) / n) if n else 0.0
     width = min(_PANELS, int(np.max(hi - lo, initial=1)) + math.ceil(slack))
-    cap = max(1, _CHUNK // (w.size * width))
+    cap = max(1, _CHUNK // (16 * width))
     logs = np.empty(n)
     k0 = 0
     while k0 < n:
@@ -198,13 +207,14 @@ def radial_norms(pot: Potential, m: float, n: int) -> OrthonormalBasis:
         # lo and hi grow with k: the group ends before the first band
         # that leaves the window
         k1 = k0 + 1 + int(np.searchsorted(hi[k0 + 1:k0 + cap], s + width, side="right"))
-        win = slice(w.size * s, w.size * (s + width))
+        win = slice(16 * s, 16 * (s + width))
         terms = np.arange(k0, k1)[:, None] * lr2[win]
         terms += base[win]
         L, total = _shifted_phase_sum(terms)
         logs[k0:k1] = L + np.log(total)
         k0 = k1
-    return OrthonormalBasis(m=float(m), n=int(n), potential=pot, log_norms=logs)
+    return OrthonormalBasis(m=float(m), n=int(n), potential=pot, log_norms=logs,
+                            r_cut=r_cut)
 
 
 def _norm_bands(pot: Potential, m: float, n: int, edges: np.ndarray):
@@ -420,10 +430,10 @@ class RadialLaw:
     kernel, and the droplet radius at tau = n/m.
 
     ``table`` holds the CDF of 2r R1(r)/n at the panel ``edges`` of
-    ``radial_norms`` (_PANELS panels on [0, _norm_window]) from the 8-node
-    Gauss-Legendre rule on each panel, divided by its total.  The norms come
-    from the 16-node rule, so the total equals 1 to 1e-10 (trace = n) only
-    when both rules resolve every mode.  The same node values give the CDF
+    ``radial_norms`` (_PANELS panels on [0, r_cut] of the basis) from the
+    8-node Gauss-Legendre rule on each panel, divided by its total.  The
+    norms come from the 16-node rule, so the total equals 1 to 1e-10
+    (trace = n) only when both rules resolve every mode.  The same node values give the CDF
     inside panel j as a polynomial F_j(t) = table[j] + int_0^t p_j in
     t = (r - e_j) / (e_{j+1} - e_j), p_j the degree-7 interpolant of the
     density at the nodes; the rule is interpolatory, so F_j(1) = table[j+1]
@@ -441,20 +451,18 @@ class RadialLaw:
 
     @classmethod
     def of(cls, kern: WeightedKernel) -> "RadialLaw":
-        pot, m, n = kern.potential, kern.m, kern.n
-        edges = np.linspace(0.0, _norm_window(pot, m, n), _PANELS + 1)
-        x, w = leggauss(8)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        r = edges[:-1, None] + half[:, None] * (x + 1.0)
+        pot, m, n, r_cut = kern.potential, kern.m, kern.n, kern.basis.r_cut
+        edges = np.linspace(0.0, r_cut, _PANELS + 1)
+        r, w = (a.reshape(_PANELS, 8) for a in _panel_rule(0.0, r_cut, _PANELS, 8))
         dens = 2.0 * r * (kern.one_point(r.astype(complex)) / n)
-        table = np.concatenate([[0.0], np.cumsum(half * (dens @ w))])
+        table = np.concatenate([[0.0], np.cumsum(np.sum(w * dens, axis=1))])
         total = float(table[-1])
         if not abs(total - 1.0) <= 1e-10:
             raise GridResolutionError(
                 f"radial law has mass {total:.12f} on [0, {edges[-1]:.4g}], "
                 "not 1 (trace != n)")
         table /= total
-        coef = (2.0 * half / total)[:, None] * (dens @ _antiderivative_map())
+        coef = (r_cut / _PANELS / total) * (dens @ _antiderivative_map())
         coef[:, 0] = table[:-1]
         return cls(edges=edges, table=table, coef=coef, total=total,
                    droplet_radius=compute_droplet(pot, n / m).radius)

@@ -117,36 +117,7 @@ def _as_complex(z):
 
 def make_ginibre() -> Potential:
     """Q(z) = |z|^2: quarter-Laplacian identically 1, polarization z*wbar."""
-
-    def evaluate(z):
-        z = _as_complex(z)
-        return np.abs(z) ** 2
-
-    def lap(z):
-        z = _as_complex(z)
-        return np.ones(z.shape, dtype=float) if z.shape else np.float64(1.0)
-
-    def gradient(z):
-        z = _as_complex(z)
-        return np.stack([2.0 * z.real, 2.0 * z.imag], axis=-1)
-
-    profile = RadialProfile(
-        q=lambda r: np.asarray(r, dtype=float) ** 2,
-        dq=lambda r: 2.0 * np.asarray(r, dtype=float),
-        d2q=lambda r: 2.0 * np.ones_like(np.asarray(r, dtype=float)),
-    )
-    return Potential(
-        name="ginibre",
-        evaluate=evaluate,
-        laplacian=lap,
-        gradient=gradient,
-        growth_exponent=4.0,
-        radial_profile=profile,
-        analytic_extension=lambda z, wbar: _as_complex(z) * _as_complex(wbar),
-        polarized_laplacian=lambda z, wbar: np.ones_like(_as_complex(z) * _as_complex(wbar), dtype=complex),
-        polarized_subleading=lambda z, wbar: np.zeros_like(_as_complex(z) * _as_complex(wbar), dtype=complex),
-        subleading_closed=lambda z: np.zeros(np.asarray(z).shape, dtype=float),
-    )
+    return _power_field(1, "ginibre")
 
 
 def make_radial_power(p: int) -> Potential:
@@ -154,6 +125,12 @@ def make_radial_power(p: int) -> Potential:
     if int(p) != p or p < 1:
         raise PotentialError(f"power must be an integer >= 1, got {p!r}")
     p = int(p)
+    return _power_field(p, f"power{p}")
+
+
+def _power_field(p: int, name: str) -> Potential:
+    """Q(z) = |z|^(2p) under the given name.  Neither public factory calls the
+    other, so a wrapper around one of them never runs inside the other."""
 
     def evaluate(z):
         z = _as_complex(z)
@@ -176,7 +153,7 @@ def make_radial_power(p: int) -> Potential:
         d2q=lambda r: 2.0 * p * (2 * p - 1) * np.asarray(r, dtype=float) ** (2 * p - 2),
     )
     return Potential(
-        name=f"power{p}",
+        name=name,
         evaluate=evaluate,
         laplacian=lap,
         gradient=gradient,

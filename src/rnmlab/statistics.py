@@ -149,30 +149,28 @@ def re_coordinate(taper_start: float = 2.0, taper_end: float = 3.0) -> TestFunct
 # quadrature helpers on a support disk
 
 
-def _disk_rule(center: complex, radius: float):
+def _disk_integral(center: complex, radius: float, *factors) -> float:
+    """int of the product of factors(z) over the disk |z - center| <= radius
+    against dA, on ``QuadratureGrid.disk(radius)``; the node weights multiply
+    the factors from the left, in order."""
     grid = QuadratureGrid.disk(radius)
-    return center + grid.nodes, grid.weights
+    z = center + grid.nodes
+    out = grid.weights
+    for f in factors:
+        out = out * np.asarray(f(z), dtype=float)
+    return float(np.sum(out))
 
 
+@lru_cache(maxsize=32)
 def gradient_pair_integral(f: TestFunction, g: TestFunction) -> float:
-    """int grad f . grad g dA over the union of the support disks."""
+    """int grad f . grad g dA, cached per pair of statistics.  The integrand
+    vanishes outside either support, so the rule covers the smaller disk."""
     for t in (f, g):
         if not t.compactly_supported:
             raise SupportError("gradient integrals need compact supports")
-    # integrate over the larger disk containing both supports
-    c1, r1 = f.support_center, f.support_radius
-    c2, r2 = g.support_center, g.support_radius
-    if abs(c1 - c2) + r1 <= r2:
-        center, radius = c2, r2
-    elif abs(c1 - c2) + r2 <= r1:
-        center, radius = c1, r1
-    else:
-        radius = 0.5 * (abs(c1 - c2) + r1 + r2)
-        direction = (c2 - c1) / abs(c2 - c1) if c1 != c2 else 0.0
-        center = c1 + direction * (radius - r1)
-    z, w = _disk_rule(center, radius)
-    dot = np.sum(np.asarray(f.gradient(z)) * np.asarray(g.gradient(z)), axis=-1)
-    return float(np.sum(w * dot))
+    t = f if f.support_radius <= g.support_radius else g
+    return _disk_integral(t.support_center, t.support_radius, lambda z: np.sum(
+        np.asarray(f.gradient(z)) * np.asarray(g.gradient(z)), axis=-1))
 
 
 def dirichlet_energy(g: TestFunction) -> float:
@@ -192,10 +190,7 @@ def covariance_prediction(f: TestFunction, g: TestFunction) -> float:
 @lru_cache(maxsize=32)
 def equilibrium_integral(g: TestFunction, drop: Droplet) -> float:
     """int g d(sigma_tau), cached per (statistic, droplet)."""
-    z, w = _disk_rule(0.0, drop.radius)
-    vals = np.asarray(g.value(z), dtype=float)
-    dens = np.asarray(drop.equilibrium_density(z), dtype=float)
-    return float(np.sum(w * vals * dens))
+    return _disk_integral(0.0, drop.radius, g.value, drop.equilibrium_density)
 
 
 @lru_cache(maxsize=32)
@@ -203,10 +198,7 @@ def mean_prediction(g: TestFunction, drop: Droplet) -> float:
     """Limiting fluctuation mean: the correction-measure integral of g, its
     density part on the disk plus sum mass * g(point) over the field's atoms
     (the origin of a power field |z|^(2p), p >= 2)."""
-    z, w = _disk_rule(0.0, drop.radius)
-    vals = np.asarray(g.value(z), dtype=float)
-    dens = np.asarray(drop.nu_density(z), dtype=float)
-    total = float(np.sum(w * vals * dens))
+    total = _disk_integral(0.0, drop.radius, g.value, drop.nu_density)
     for point, mass in drop.potential.subleading_atoms:
         total += mass * float(np.real(g.value(complex(point))))
     return total

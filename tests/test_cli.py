@@ -362,6 +362,22 @@ def test_boundary_subcommand(tmp_path):
     assert len(rows) == 401
 
 
+@pytest.mark.parametrize("kind, samples", [("matrix", 50), ("dpp", 200)])
+def test_boundary_samples_the_configured_droplet(tmp_path, kind, samples):
+    # at tau = 0.5 Ginibre matrices (m = n) do not realise the droplet: a
+    # configuration error; the dpp sampler draws at m = n / tau
+    cfg = write_config(tmp_path, f"n = 16\ntau = 0.5\nsamples = {samples}\nseed = 3\n"
+                                 f"sampler.kind = {kind}\n")
+    out = tmp_path / "out"
+    code = run(["boundary", "--config", str(cfg), "--out", str(out)])
+    if kind == "matrix":
+        assert code == 2
+    else:
+        assert code < 2
+        summary = json.loads((out / "boundary_summary.json").read_text())
+        assert summary["prediction"]["v_f2"] == pytest.approx(0.25, abs=1e-9)
+
+
 def test_berezin_subcommand(tmp_path):
     cfg = write_config(tmp_path, "n = 24\nberezin.transform_anchor = 0.05\n")
     out = tmp_path / "out"

@@ -1,9 +1,12 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+from rnmlab import orthopoly
+from rnmlab.berezin import wavefunction_measure
 from rnmlab.orthopoly import (_PANELS, DivergentNormError, QuadratureGrid,
                               UnsupportedPotentialError, _norm_bands, _norm_window,
                               bergman_approx,
@@ -117,6 +120,29 @@ def test_banded_norms_match_dense_sum(case):
         peak = terms.max(axis=1)
         dense = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
         assert np.all(np.abs(got[k] - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+
+
+@pytest.mark.parametrize("build", ["radial_law", "wavefunction_measure"])
+def test_norm_window_solved_once_per_kernel(build, monkeypatch):
+    # the basis records the end of its rule; the radial law and the
+    # wave-function measure read it there instead of solving the window again
+    original = orthopoly._norm_window
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("rnmlab") and \
+                getattr(module, "_norm_window", None) is original:
+            monkeypatch.setattr(module, "_norm_window", counted)
+    pot = make_radial_power(2)
+    if build == "radial_law":
+        weighted_kernel(pot, 16.0, 16).radial_law
+    else:
+        wavefunction_measure(pot, 16)
+    assert calls == [(pot, 16.0, 16)]
 
 
 @pytest.mark.parametrize("case", ["ginibre-1024", "power3-64", "quartic-64", "log1p-24"])

@@ -20,12 +20,31 @@ def test_ginibre_values():
 
 
 def test_power_matches_ginibre_at_p1():
+    # one field under two names: every callable agrees bit for bit, with the
+    # same dtype, on arrays and scalars, down to 0 and past overflow
     pot = make_radial_power(1)
     gin = make_ginibre()
-    z = np.array([0.1, 0.5 + 0.2j, -1.3j, 2.0])
-    assert np.allclose(pot.evaluate(z), gin.evaluate(z))
-    assert np.allclose(pot.laplacian(z), gin.laplacian(z))
-    assert np.allclose(pot.gradient(z), gin.gradient(z))
+    assert (gin.name, pot.name) == ("ginibre", "power1")
+    assert gin.growth_exponent == pot.growth_exponent
+    assert gin.subleading_atoms == pot.subleading_atoms == ()
+    inputs = [np.array([0.0, 0.1, 0.5 + 0.2j, -1.3j, 2.0, 1e300]), 0.0, 0.3 + 0.4j, 1e300]
+
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in inputs:
+            r = np.abs(z)
+            for name in ("evaluate", "laplacian", "gradient", "subleading_closed",
+                         "subleading_density"):
+                assert same(getattr(gin, name)(z), getattr(pot, name)(z)), name
+            for name in ("analytic_extension", "polarized_laplacian", "polarized_subleading"):
+                assert same(getattr(gin, name)(z, np.conj(z)),
+                            getattr(pot, name)(z, np.conj(z))), name
+            for name in ("q", "dq", "d2q"):
+                assert same(getattr(gin.radial_profile, name)(r),
+                            getattr(pot.radial_profile, name)(r)), name
 
 
 def test_power_laplacian_and_subleading():

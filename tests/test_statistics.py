@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rnmlab.orthopoly import UnsupportedPotentialError
+from rnmlab.orthopoly import QuadratureGrid, UnsupportedPotentialError
 from rnmlab.potential import compute_droplet, make_ginibre, make_radial_power
 from rnmlab.sampler import PointConfiguration, stream_rng
 from rnmlab.statistics import (SupportError, boundary_statistics, bump,
-                               clt_report, covariance_check, dirichlet_energy,
+                               clt_report, covariance_check,
+                               covariance_prediction, dirichlet_energy,
                                equilibrium_integral, fluct_value, fluct_values,
                                jarque_bera, mean_prediction, re_coordinate,
                                tilting_check, variance_prediction)
@@ -248,7 +251,6 @@ def test_covariance_disjoint_supports(matrix_bank_n64, ginibre_droplet):
 
 def test_covariance_bilinearity(matrix_bank_n64, ginibre_droplet):
     g = bump(0.0, 0.5)
-    from dataclasses import replace
     g2 = replace(g,
                  value=lambda z: 2.0 * g.value(z),
                  gradient=lambda z: 2.0 * np.asarray(g.gradient(z)),
@@ -259,6 +261,44 @@ def test_covariance_bilinearity(matrix_bank_n64, ginibre_droplet):
     assert a.predicted == pytest.approx(2.0 * b.predicted, rel=1e-10)
     sym = covariance_check(matrix_bank_n64, g2, g, ginibre_droplet)
     assert sym.empirical == pytest.approx(a.empirical, rel=1e-12)
+
+
+@pytest.mark.parametrize("supports", [
+    ((0.0, 0.5), (0.1 + 0.1j, 0.2)),         # nested
+    ((0.25 + 0.1j, 0.35), (0.6, 0.2)),       # overlapping
+    ((-0.5, 0.3), (0.5j, 0.25)),             # disjoint
+], ids=["nested", "overlapping", "disjoint"])
+def test_covariance_prediction_matches_enclosing_disk(supports):
+    # the prediction integrates over the smaller support disk; the reference
+    # takes a finer rule on a disk that encloses both supports
+    f, g = (bump(c, r) for c, r in supports)
+    (c1, r1), (c2, r2) = supports
+    grid = QuadratureGrid.disk(0.5 * abs(c1 - c2) + max(r1, r2), n_radial=600, n_theta=512)
+    z = 0.5 * (c1 + c2) + grid.nodes
+    ref = 0.25 * float(np.sum(grid.weights * np.sum(
+        np.asarray(f.gradient(z)) * np.asarray(g.gradient(z)), axis=-1)))
+    got = covariance_prediction(f, g)
+    assert abs(got - ref) <= 1e-12
+    assert abs(got - covariance_prediction(g, f)) <= 1e-14
+    if abs(c1 - c2) >= r1 + r2:
+        assert got == 0.0
+
+
+def test_gradient_integrals_computed_once():
+    calls = []
+
+    def counting(t):
+        def gradient(z):
+            calls.append(np.shape(z))
+            return t.gradient(z)
+        return replace(t, gradient=gradient)
+
+    f, g = counting(bump(0.0, 0.5)), counting(bump(0.2, 0.3))
+    first = (variance_prediction(g), covariance_prediction(f, g))
+    assert calls
+    calls.clear()
+    assert (variance_prediction(g), covariance_prediction(f, g)) == first
+    assert calls == []
 
 
 @pytest.mark.parametrize("size", [0, 1])
