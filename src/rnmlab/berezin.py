@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -322,17 +322,15 @@ class ConditionedProfile(NamedTuple):
     prediction: np.ndarray
 
 
-def conditioned_onepoint_profile(n: int, z0: complex = 0.0,
-                                 distances: Optional[Sequence[float]] = None) -> ConditionedProfile:
+def conditioned_onepoint_profile(n: int, z0: complex = 0.0) -> ConditionedProfile:
     """Rescaled one-point density of the |z|^2 ensemble conditioned on an
-    eigenvalue at the bulk anchor, versus the limit 1 - exp(-|z - z0|^2).
+    eigenvalue at the bulk anchor, versus the limit 1 - exp(-|z - z0|^2), at
+    the distances s = 0, 0.1, ..., 3.
 
     Uses the pinned-process identity: the conditioned rescaled one-point
     function is (R1 - Berezin density)/n evaluated at z0 + s/sqrt(n).
     """
-    if distances is None:
-        distances = np.linspace(0.0, 3.0, 31)
-    distances = np.asarray(distances, dtype=float)
+    distances = np.linspace(0.0, 3.0, 31)
     pot = make_ginibre()
     kern = weighted_kernel(pot, float(n), n)
     bk = berezin_kernel(kern, complex(z0))

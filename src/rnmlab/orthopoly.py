@@ -37,6 +37,20 @@ def leggauss(n: int):
     return _leggauss_uncached(n)
 
 
+def _panel_rule(a: float, b: float, panels: int, order: int):
+    """(nodes, weights) of the composite rule on [a, b]: ``order``
+    Gauss-Legendre nodes on each of ``panels`` equal panels, panel by panel."""
+    x, w = leggauss(order)
+    half = 0.5 * (b - a) / panels
+    r = (a + half * (2.0 * np.arange(panels)[:, None] + x + 1.0)).ravel()
+    return r, np.tile(half * w, panels)
+
+
+def _uniform_angles(n: int) -> np.ndarray:
+    """The n angles 2 pi j / n, j < n."""
+    return 2.0 * np.pi * np.arange(n) / n
+
+
 # ---------------------------------------------------------------------------
 # quadrature grids
 
@@ -50,7 +64,6 @@ class QuadratureGrid:
     0 < |k| < n_theta.  ``weights`` absorb the polar Jacobian and the 1/pi.
     """
 
-    r_cut: float
     radial_nodes: np.ndarray
     radial_weights: np.ndarray
     n_theta: int
@@ -59,19 +72,16 @@ class QuadratureGrid:
 
     @classmethod
     def disk(cls, r_cut: float, n_radial: int = 400, n_theta: int = 256) -> "QuadratureGrid":
-        x, w = leggauss(n_radial)
-        r = 0.5 * r_cut * (x + 1.0)
-        wr = 0.5 * r_cut * w
-        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        z = r[:, None] * np.exp(1j * theta)[None, :]
+        r, wr = _panel_rule(0.0, r_cut, 1, n_radial)
+        z = r[:, None] * np.exp(1j * _uniform_angles(n_theta))[None, :]
         wa = np.broadcast_to((2.0 / n_theta) * (wr * r)[:, None], z.shape)
-        return cls(r_cut=float(r_cut), radial_nodes=r, radial_weights=wr,
-                   n_theta=int(n_theta), nodes=z.ravel(), weights=wa.ravel().copy())
+        return cls(radial_nodes=r, radial_weights=wr, n_theta=int(n_theta),
+                   nodes=z.ravel(), weights=wa.ravel().copy())
 
     @property
     def thetas(self) -> np.ndarray:
         """The n_theta uniform angles of the product grid."""
-        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
+        return _uniform_angles(self.n_theta)
 
     @property
     def ring_weights(self) -> np.ndarray:
@@ -137,15 +147,6 @@ def _norm_window(pot: Potential, m: float, n: int) -> float:
 
 
 _PANELS = 512  # panels of the composite radial rule on [0, _norm_window]
-
-
-def _panel_rule(a: float, b: float, panels: int, order: int):
-    """(nodes, weights) of the composite rule on [a, b]: ``order``
-    Gauss-Legendre nodes on each of ``panels`` equal panels, panel by panel."""
-    x, w = leggauss(order)
-    half = 0.5 * (b - a) / panels
-    r = (a + half * (2.0 * np.arange(panels)[:, None] + x + 1.0)).ravel()
-    return r, np.tile(half * w, panels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,16 +260,17 @@ def _norm_bands(pot: Potential, m: float, n: int, edges: np.ndarray):
 # weighted kernel
 
 
-def _shifted_phase_sum(logmag, phase=None, axis=-1):
-    """(L, s) with sum exp(logmag + i*phase) = exp(L) * s, L the running max;
-    without a phase the sum is real.  Shifts and exponentiates logmag in place."""
-    L = np.max(logmag, axis=axis, keepdims=True)
+def _shifted_phase_sum(logmag, phase=None):
+    """(L, s) with sum exp(logmag + i*phase) = exp(L) * s over the last axis, L
+    the running max; without a phase the sum is real.  Shifts and exponentiates
+    logmag in place."""
+    L = np.max(logmag, axis=-1, keepdims=True)
     L = np.where(np.isfinite(L), L, 0.0)
     terms = np.subtract(logmag, L, out=logmag)
     np.exp(terms, out=terms)
     if phase is not None:
         terms = terms * np.exp(1j * phase)
-    return np.squeeze(L, axis=axis), np.sum(terms, axis=axis)
+    return np.squeeze(L, axis=-1), np.sum(terms, axis=-1)
 
 
 _CHUNK = 1 << 22  # cap on batch * n intermediate entries
@@ -370,12 +372,8 @@ class WeightedKernel:
         return L + np.log(s)
 
     def one_point(self, z):
-        """R1(z) >= 0; tiny negative round-off is clamped, anything worse raises."""
-        val = np.exp(self.log_one_point(z))
-        val = np.asarray(val)
-        if np.any(val < -1e-12):
-            raise FloatingPointError("one-point density came out negative")
-        out = np.clip(val, 0.0, None)
+        """R1(z) = exp(log R1(z)) >= 0; a float at a scalar z."""
+        out = np.exp(self.log_one_point(z))
         return out if out.shape else float(out)
 
     def trace_on(self, grid: QuadratureGrid) -> float:
@@ -446,7 +444,6 @@ class RadialLaw:
     edges: np.ndarray
     table: np.ndarray
     coef: np.ndarray
-    total: float
     droplet_radius: float
 
     @classmethod
@@ -464,7 +461,7 @@ class RadialLaw:
         table /= total
         coef = (r_cut / _PANELS / total) * (dens @ _antiderivative_map())
         coef[:, 0] = table[:-1]
-        return cls(edges=edges, table=table, coef=coef, total=total,
+        return cls(edges=edges, table=table, coef=coef,
                    droplet_radius=compute_droplet(pot, n / m).radius)
 
     def cdf(self, r):
@@ -508,9 +505,8 @@ def diagonal_expansion_residual(kern: WeightedKernel, z) -> float:
 
 def offdiagonal_decay_profile(kern: WeightedKernel, z0, radii) -> np.ndarray:
     """max over 64 angles of |weighted kernel(z0, z0 + h)| for each |h| in radii."""
-    theta = 2.0 * np.pi * np.arange(64) / 64
     radii = np.asarray(radii, dtype=float)
-    h = radii[:, None] * np.exp(1j * theta)[None, :]
+    h = radii[:, None] * np.exp(1j * _uniform_angles(64))[None, :]
     logabs, _ = kern.log_weighted(np.asarray(z0, dtype=complex), np.asarray(z0) + h)
     return np.exp(np.max(logabs, axis=-1))
 
@@ -529,7 +525,8 @@ def fit_decay_rate(radii, profile, m: float):
 
 def bergman_approx(pot: Potential, m: float, z, w):
     """First-order approximating kernel, weighted:
-    (m b0(z, wbar) + b1(z, wbar)) e^{m psi(z, wbar) - m(Q(z)+Q(w))/2}.
+    m b0(z, wbar) e^{m psi(z, wbar) - m(Q(z)+Q(w))/2}, b0 the polarized
+    quarter-Laplacian; the next term b1 is 0 on the power family.
 
     Usable near the anti-diagonal; needs the field's polarization data.
     """
@@ -541,10 +538,9 @@ def bergman_approx(pot: Potential, m: float, z, w):
     wbar = np.conj(w)
     psi = pot.analytic_extension(z, wbar)
     b0 = pot.polarized_laplacian(z, wbar)
-    b1 = pot.polarized_subleading(z, wbar) if pot.polarized_subleading is not None else 0.0
     logmag = m * np.real(psi) - 0.5 * m * (np.asarray(pot.evaluate(z), dtype=float)
                                            + np.asarray(pot.evaluate(w), dtype=float))
-    return (m * b0 + b1) * np.exp(logmag) * np.exp(1j * m * np.imag(psi))
+    return m * b0 * np.exp(logmag) * np.exp(1j * m * np.imag(psi))
 
 
 def nystrom_matrix(kern: WeightedKernel, grid: QuadratureGrid) -> np.ndarray:

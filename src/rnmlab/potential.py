@@ -55,7 +55,6 @@ class Potential:
     radial_profile: Optional[RadialProfile] = None
     analytic_extension: Optional[Callable] = None
     polarized_laplacian: Optional[Callable] = None
-    polarized_subleading: Optional[Callable] = None
     subleading_closed: Optional[Callable] = None
     subleading_atoms: tuple = ()
 
@@ -161,7 +160,6 @@ def _power_field(p: int, name: str) -> Potential:
         radial_profile=profile,
         analytic_extension=lambda z, wbar: (_as_complex(z) * _as_complex(wbar)) ** p,
         polarized_laplacian=lambda z, wbar: p**2 * (_as_complex(z) * _as_complex(wbar)) ** (p - 1),
-        polarized_subleading=lambda z, wbar: np.zeros_like(_as_complex(z) * _as_complex(wbar), dtype=complex),
         # log lap Q = const + (p-1) log|z|^2 is harmonic away from the origin,
         # and (1/2) lap of (p-1) log|z|^2 is mass (p-1)/2 at 0 (dA = d^2z/pi)
         subleading_closed=lambda z: np.zeros(np.asarray(z).shape, dtype=float),

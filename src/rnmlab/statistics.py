@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .potential import Droplet, Potential
-from .sampler import PointConfiguration, sample_dpp, sample_ginibre_matrix, SamplerConfig
-from .orthopoly import QuadratureGrid, weighted_kernel, UnsupportedPotentialError
+from .sampler import PointConfiguration
+from .orthopoly import QuadratureGrid, UnsupportedPotentialError
 
 
 class SupportError(ValueError):
@@ -47,6 +47,22 @@ class TestFunction:
         return self.support_radius is not None
 
 
+def _smooth_step(s, order=0):
+    """phi(s) = exp(1 - 1/(1 - s)) for s < 1, 0 from s = 1 on: the profile of
+    ``bump`` (s = |z - c|^2 / r^2) and of ``re_coordinate``'s taper (s = t^2).
+    At order 1 or 2, the list [phi, phi'] or [phi, phi', phi''], each 0 from
+    s = 1 on; phi(0) = 1 and phi'(0) = phi''(0) = -1."""
+    inside = s < 1.0
+    s = np.where(inside, s, 0.5)
+    g = np.exp(1.0 - 1.0 / (1.0 - s))
+    out = [np.where(inside, g, 0.0)]
+    if order >= 1:
+        out.append(np.where(inside, -g / (1.0 - s) ** 2, 0.0))
+    if order >= 2:
+        out.append(np.where(inside, g * (1.0 / (1.0 - s) ** 4 - 2.0 / (1.0 - s) ** 3), 0.0))
+    return out if order else out[0]
+
+
 def bump(center: complex = 0.0, radius: float = 0.5) -> TestFunction:
     """The standard plateau-free bump: exp(1 - 1/(1 - |z-c|^2/r^2)) inside the
     disk, 0 outside, with closed-form gradient and classical Laplacian."""
@@ -56,41 +72,22 @@ def bump(center: complex = 0.0, radius: float = 0.5) -> TestFunction:
     r2 = float(radius) ** 2
 
     def _u(z):
-        z = np.asarray(z, dtype=complex)
         return (np.abs(z - c) ** 2) / r2
 
     def value(z):
-        u = _u(z)
-        inside = u < 1.0
-        uu = np.where(inside, u, 0.5)
-        g = np.exp(1.0 - 1.0 / (1.0 - uu))
-        return np.where(inside, g, 0.0)
-
-    def _dg_du(u):
-        # d/du exp(1 - (1-u)^-1) = -g / (1-u)^2
-        g = np.exp(1.0 - 1.0 / (1.0 - u))
-        return -g / (1.0 - u) ** 2
-
-    def _d2g_du2(u):
-        g = np.exp(1.0 - 1.0 / (1.0 - u))
-        return g * (1.0 / (1.0 - u) ** 4 - 2.0 / (1.0 - u) ** 3)
+        return _smooth_step(_u(np.asarray(z, dtype=complex)))
 
     def gradient(z):
         z = np.asarray(z, dtype=complex)
-        u = _u(z)
-        inside = u < 1.0
-        uu = np.where(inside, u, 0.5)
-        fac = np.where(inside, _dg_du(uu), 0.0) * (2.0 / r2)
+        fac = _smooth_step(_u(z), 1)[1] * (2.0 / r2)
         return np.stack([fac * (z.real - c.real), fac * (z.imag - c.imag)], axis=-1)
 
     def laplacian_std(z):
-        z = np.asarray(z, dtype=complex)
-        u = _u(z)
-        inside = u < 1.0
-        uu = np.where(inside, u, 0.5)
-        # lap g(u(z)) = g''(u) |grad u|^2 + g'(u) lap u,  |grad u|^2 = 4u/r^2, lap u = 4/r^2
-        val = _d2g_du2(uu) * (4.0 * uu / r2) + _dg_du(uu) * (4.0 / r2)
-        return np.where(inside, val, 0.0)
+        u = _u(np.asarray(z, dtype=complex))
+        _, d1, d2 = _smooth_step(u, 2)
+        # lap phi(u(z)) = phi''(u) |grad u|^2 + phi'(u) lap u,  |grad u|^2 = 4u/r^2,
+        # lap u = 4/r^2; u is capped so that the zeros outside stay 0 at u = inf
+        return d2 * (4.0 * np.minimum(u, 1.0) / r2) + d1 * (4.0 / r2)
 
     return TestFunction(value=value, gradient=gradient, laplacian_std=laplacian_std,
                         support_center=c, support_radius=float(radius),
@@ -98,48 +95,39 @@ def bump(center: complex = 0.0, radius: float = 0.5) -> TestFunction:
 
 
 def re_coordinate(taper_start: float = 2.0, taper_end: float = 3.0) -> TestFunction:
-    """Re(z), smoothly tapered to zero between the two radii.  Globally
-    supported; the taper sits far outside any droplet of interest so samples
-    never see it."""
+    """Re(z) w(|z|), w = phi(t^2) with t = (r - taper_start) / (taper_end -
+    taper_start) clipped to [0, 1].  Globally supported; the taper sits far
+    outside any droplet of interest so samples never see it."""
     if not (0 < taper_start < taper_end):
         raise ValueError("need 0 < taper_start < taper_end")
     a, bnd = float(taper_start), float(taper_end)
     width = bnd - a
 
-    def _window(r):
-        t = (r - a) / width
-        t = np.clip(t, 0.0, 1.0)
-        inside = t <= 0.0
-        outside = t >= 1.0
-        tt = np.where((~inside) & (~outside), t, 0.5)
-        w = np.exp(1.0 - 1.0 / (1.0 - tt**2))
-        return np.where(inside, 1.0, np.where(outside, 0.0, w))
-
-    def _dwindow(r):
-        t = (r - a) / width
-        mid = (t > 0.0) & (t < 1.0)
-        tt = np.where(mid, t, 0.5)
-        w = np.exp(1.0 - 1.0 / (1.0 - tt**2))
-        dw = w * (-2.0 * tt / (1.0 - tt**2) ** 2) / width
-        return np.where(mid, dw, 0.0)
-
-    def value(z):
-        z = np.asarray(z, dtype=complex)
-        return z.real * _window(np.abs(z))
-
-    def gradient(z):
+    def _polar(z):
         z = np.asarray(z, dtype=complex)
         r = np.maximum(np.abs(z), 1e-300)
-        w = _window(r)
-        dw = _dwindow(r)
+        return z, r, np.clip((r - a) / width, 0.0, 1.0)
+
+    def value(z):
+        z, _, t = _polar(z)
+        return z.real * _smooth_step(t**2)
+
+    def gradient(z):
+        z, r, t = _polar(z)
+        w, dw = _smooth_step(t**2, 1)
+        dw *= 2.0 * t / width  # in place: phi'(t^2) becomes w'(r)
         gx = w + z.real * dw * (z.real / r)
         gy = z.real * dw * (z.imag / r)
         return np.stack([gx, gy], axis=-1)
 
-    def laplacian_std(z, h=1e-5):
-        z = np.asarray(z, dtype=complex)
-        return ((value(z + h) + value(z - h) + value(z + 1j * h) + value(z - 1j * h)
-                 - 4.0 * value(z)) / h**2)
+    def laplacian_std(z):
+        # lap(x w(r)) = x (w'' + w'/r) + 2 w' x/r = x (w'' + 3 w'/r); w'' jumps
+        # at taper_start (phi'(0) = -1), and the plateau inside is flat
+        z, r, t = _polar(z)
+        _, d1, d2 = _smooth_step(t**2, 2)
+        dw = d1 * (2.0 * t / width)
+        d2w = (d2 * (4.0 * t**2) + 2.0 * d1) / width**2
+        return np.where(t > 0.0, z.real * (d2w + 3.0 * dw / r), 0.0)
 
     return TestFunction(value=value, gradient=gradient, laplacian_std=laplacian_std,
                         support_center=None, support_radius=None, radial=False)
@@ -347,24 +335,13 @@ class TiltingResult:
     low_ess: bool
 
 
-def tilting_check(pot: Potential, m: float, n: int, g: TestFunction,
-                  lam_grid: Sequence[float], drop: Droplet,
-                  n_samples: int = 100_000, rng=None) -> TiltingResult:
+def tilting_check(samples: Sequence[PointConfiguration], g: TestFunction,
+                  lam_grid: Sequence[float], drop: Droplet) -> TiltingResult:
     """Derivative of the tilted log-moment-generating function of the
-    fluctuation statistic, by reweighted Monte Carlo, against the affine
-    prediction  e_g + lam * (1/4) int |grad g|^2 dA.
-
-    Ginibre uses matrix eigenvalues; other radial fields fall back to the
-    determinantal sampler (keep n small for importance-sampling stability).
+    fluctuation statistic over a bank, by reweighted Monte Carlo, against the
+    affine prediction  e_g + lam * (1/4) int |grad g|^2 dA.  A lambda whose
+    effective sample size falls below 5% of the bank sets ``low_ess``.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if pot.name == "ginibre" and m == n:
-        samples = [sample_ginibre_matrix(n, rng) for _ in range(n_samples)]
-    else:
-        kern = weighted_kernel(pot, m, n)
-        cfg = SamplerConfig(master_seed=0)
-        samples = [sample_dpp(kern, cfg, rng) for _ in range(n_samples)]
     x = fluct_values(samples, g, drop)
 
     v_pred = variance_prediction(g)

@@ -1,12 +1,13 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from rnmlab.orthopoly import QuadratureGrid, UnsupportedPotentialError
 from rnmlab.potential import compute_droplet, make_ginibre, make_radial_power
-from rnmlab.sampler import PointConfiguration, stream_rng
+from rnmlab.sampler import PointConfiguration, sample_ginibre_matrix, stream_rng
 from rnmlab.statistics import (SupportError, boundary_statistics, bump,
                                clt_report, covariance_check,
                                covariance_prediction, dirichlet_energy,
@@ -71,6 +72,29 @@ def test_bump_dirichlet_energy_dual_quadrature():
     # scale invariance of the planar Dirichlet integral: the value is exactly 2
     assert via_grid == pytest.approx(2.0, abs=1e-9)
     assert dirichlet_energy(bump(0.0, 0.2)) == pytest.approx(2.0, abs=1e-8)
+
+
+def test_re_coordinate_derivatives_match_mpmath():
+    # x exp(1 - 1/(1 - t^2)), t = |z| - 2, on the taper 2 < |z| < 3, where
+    # the closed forms meet mpmath's derivatives; flat (lap = 0) elsewhere
+    f = re_coordinate(2.0, 3.0)
+    radii = np.array([2.01, 2.2, 2.45, 2.7, 2.9])
+    z = (radii[:, None] * np.exp(1j * np.array([0.3, 2.5, 4.0]))[None, :]).ravel()
+    grad, lap = np.asarray(f.gradient(z)), np.asarray(f.laplacian_std(z))
+
+    def F(x, y):
+        t = mpmath.sqrt(x**2 + y**2) - 2
+        return x * mpmath.exp(1 - 1 / (1 - t**2))
+
+    with mpmath.workdps(40):
+        for zi, gi, li in zip(z, grad, lap):
+            xy = (mpmath.mpf(zi.real), mpmath.mpf(zi.imag))
+            exact = np.array([float(mpmath.diff(F, xy, d)) for d in ((1, 0), (0, 1))])
+            exact_lap = float(mpmath.diff(F, xy, (2, 0)) + mpmath.diff(F, xy, (0, 2)))
+            assert np.max(np.abs(gi - exact)) <= 1e-10 * np.max(np.abs(exact))
+            assert abs(li - exact_lap) <= 1e-10 * abs(exact_lap)
+    flat = np.array([0.0, 0.3 + 0.4j, -1.5j, 1.999, 2.0, 3.0, -3.5 + 1j])
+    assert np.all(f.laplacian_std(flat) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +342,9 @@ def test_tilting_ginibre_n16(ginibre_droplet):
     pot = make_ginibre()
     g = bump(0.0, 0.5)
     lam_grid = np.linspace(-1.0, 1.0, 9)
-    res = tilting_check(pot, 16.0, 16, g, lam_grid, ginibre_droplet,
-                        n_samples=100_000, rng=stream_rng(61, 0))
+    rng = stream_rng(61, 0)
+    bank = [sample_ginibre_matrix(16, rng) for _ in range(100_000)]
+    res = tilting_check(bank, g, lam_grid, ginibre_droplet)
     # F'(0) is the plain fluctuation mean; prediction e_g = 0
     mid = res.rows[4]
     assert mid.lam == 0.0
