@@ -82,7 +82,6 @@ from .berezin import (
     BerezinKernel,
     AnchorError,
     berezin_kernel,
-    berezin_density,
     berezin_transform,
     conditional_basis,
     conditional_one_point,

@@ -31,12 +31,9 @@ class BerezinKernel:
     kernel: WeightedKernel
     log_r1_anchor: float
 
-    def log_density(self, w):
-        logabs, _ = self.kernel.log_weighted(self.anchor, np.asarray(w, dtype=complex))
-        return 2.0 * logabs - self.log_r1_anchor
-
     def density(self, w):
-        return np.exp(self.log_density(w))
+        logabs, _ = self.kernel.log_weighted(self.anchor, np.asarray(w, dtype=complex))
+        return np.exp(2.0 * logabs - self.log_r1_anchor)
 
     def _ring_modes(self, radii, n_theta: int):
         """Ring r's angular profile as Fourier coefficients: the density at
@@ -82,12 +79,6 @@ def berezin_kernel(kern: WeightedKernel, z0: complex) -> BerezinKernel:
             f"one-point density underflows at anchor {z0}; inspect log-domain "
             "diagnostics (e.g. the angular-marginal profile) instead")
     return bk
-
-
-def berezin_density(kern: WeightedKernel, z0: complex, w) -> float:
-    """Density of the Berezin measure attached to the anchor z0 at w."""
-    out = berezin_kernel(kern, z0).density(w)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 class BerezinTransformResult(NamedTuple):

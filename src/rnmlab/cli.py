@@ -106,7 +106,7 @@ def build_test_function(cfg: dict):
         center = cfg_get(cfg, "test_function.center", 0.0)
         radius = cfg_get(cfg, "test_function.radius", 0.5)
         return st.bump(complex(center), float(radius))
-    if kind in ("re", "re_coordinate"):
+    if kind == "re":
         return st.re_coordinate()
     raise ConfigError(f"unknown test function kind {kind!r}")
 
@@ -134,7 +134,6 @@ def sampler_config(cfg: dict, seed: int) -> SamplerConfig:
         master_seed=seed,
         burn_in_sweeps=int(cfg_get(cfg, "sampler.burn_in_sweeps", 2000)),
         thin_stride=int(cfg_get(cfg, "sampler.thin_stride", 20)),
-        proposal_scale=float(cfg_get(cfg, "sampler.proposal_scale", 1.0)),
     )
 
 
@@ -244,10 +243,9 @@ class Reporter:
 # subcommands
 
 
-def cmd_identities(cfg, args, rep: Reporter) -> int:
-    kmax = int(cfg_get(cfg, "identities.k_max", 10))
+def cmd_identities(cfg, args, rep: Reporter) -> None:
     rows = []
-    for k in range(2, kmax + 1):
+    for k in range(2, 11):
         zs = cu.zero_sum_identity(k)
         sk = cu.s_k(k)
         target = cu.ExactRational(2 if k == 2 else 0)
@@ -261,27 +259,22 @@ def cmd_identities(cfg, args, rep: Reporter) -> int:
     rep.check("pair_integral_L_same", abs(pairs.L_same), 0.0, 1e-8)
     rep.check("pair_integral_L_opposite", abs(pairs.L_opposite), 1.0, 1e-8)
     rep.write_csv("identities.csv", ["k", "zero_sum", "quadratic_sum", "status"], rows)
-    return rep.finish()
 
 
-def cmd_kernel(cfg, args, rep: Reporter) -> int:
+def cmd_kernel(cfg, args, rep: Reporter) -> None:
     pot = build_potential(cfg)
     m, n, tau = resolve_mn(cfg)
     kern = weighted_kernel(pot, m, n)
     drop = compute_droplet(pot, tau)
     radii = np.linspace(0.0, 0.5 * drop.radius, 11)
-    rows = []
-    for r in radii:
-        for ang in np.linspace(0.0, np.pi, 4):
-            z = r * np.exp(1j * ang)
-            r1 = float(kern.one_point(z))
-            pred = m * float(pot.laplacian(z)) + float(pot.subleading_density(z))
-            rows.append([z.real, z.imag, r1, pred, abs(r1 - pred)])
-    rep.write_csv("kernel_diagonal.csv",
-                  ["z_re", "z_im", "R1", "predicted", "residual"], rows)
+    z = (radii[:, None] * np.exp(1j * np.linspace(0.0, np.pi, 4))).ravel()
+    r1 = kern.one_point(z)
+    pred = m * pot.laplacian(z) + pot.subleading_density(z)
+    resid = np.abs(r1 - pred)
+    rep.write_csv("kernel_diagonal.csv", ["z_re", "z_im", "R1", "predicted", "residual"],
+                  np.column_stack((z.real, z.imag, r1, pred, resid)).tolist())
     # np.max propagates a NaN residual, so it fails the check
-    sup = float(np.max([row[-1] for row in rows]))
-    rep.check("diagonal_expansion_sup_residual", sup, 0.0, 3.0 / m)
+    rep.check("diagonal_expansion_sup_residual", float(np.max(resid)), 0.0, 3.0 / m)
 
     hr = np.linspace(0.05, 0.8 * drop.radius, 16)
     profile = offdiagonal_decay_profile(kern, 0.3 * drop.radius, hr)
@@ -291,30 +284,29 @@ def cmd_kernel(cfg, args, rep: Reporter) -> int:
     rep.extra["decay_rate"] = rate
     rep.extra["decay_epsilon"] = eps
     rep.check("offdiagonal_decay_epsilon_positive", float(eps > 0.0), 1.0, 0.0)
-    return rep.finish()
 
 
-def cmd_sample(cfg, args, rep: Reporter) -> int:
+def cmd_sample(cfg, args, rep: Reporter) -> None:
     pot = build_potential(cfg)
     m, n, _ = resolve_mn(cfg)
     seed = require_seed(cfg, args)
     count = int(cfg_get(cfg, "samples", 100))
-    samples, kind = draw_samples(cfg, pot, m, n, seed, count, args.threads)
     fmt = str(cfg_get(cfg, "output.format", "csv")).lower()
+    if fmt not in ("csv", "jsonl"):
+        raise ConfigError(f"unknown output.format {fmt!r}")
+    samples, kind = draw_samples(cfg, pot, m, n, seed, count, args.threads)
     if fmt == "csv":
         rows = [[i, j, z.real, z.imag]
                 for i, c in enumerate(samples) for j, z in enumerate(c.points)]
         rep.write_csv("configurations.csv",
                       ["sample_id", "point_id", "re", "im"], rows)
-    elif fmt == "jsonl":
+    else:
         with open(rep.out / "configurations.jsonl", "w") as fh:
             for i, c in enumerate(samples):
                 fh.write(json.dumps({"sample_id": i,
                                      "re": [z.real for z in c.points],
                                      "im": [z.imag for z in c.points]},
                                     sort_keys=True) + "\n")
-    else:
-        raise ConfigError(f"unknown output.format {fmt!r}")
     # a chain's last configuration carries its whole-chain acceptance rate;
     # samples come in chain order, so the dict keeps that order
     last = {c.meta["chain_index"]: c.meta["acceptance_rate"] for c in samples
@@ -326,10 +318,9 @@ def cmd_sample(cfg, args, rep: Reporter) -> int:
             "acceptance_rate": float(np.mean(rates)) if rates else None}
     (rep.out / "sample_metadata.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return rep.finish()
 
 
-def cmd_clt(cfg, args, rep: Reporter) -> int:
+def cmd_clt(cfg, args, rep: Reporter) -> None:
     pot = build_potential(cfg)
     m, n, tau = resolve_mn(cfg)
     seed = require_seed(cfg, args)
@@ -348,10 +339,9 @@ def cmd_clt(cfg, args, rep: Reporter) -> int:
     rep.check("fluct_skewness", report.skewness, 0.0, 3 * report.mcse_skewness)
     rep.check("fluct_excess_kurtosis", report.excess_kurtosis, 0.0,
               3 * report.mcse_kurtosis)
-    return rep.finish()
 
 
-def cmd_cumulants(cfg, args, rep: Reporter) -> int:
+def cmd_cumulants(cfg, args, rep: Reporter) -> None:
     if "m" in cfg:
         raise ConfigError("cumulants sweeps n_list at one tau (m = n / tau for each n); "
                           "set tau instead of m")
@@ -384,17 +374,15 @@ def cmd_cumulants(cfg, args, rep: Reporter) -> int:
     if kmax >= 3:
         rep.check(f"C_3(n={n_top}) small", results[(n_top, 3)], 0.0,
                   0.1 * results[(n_top, 2)] ** 1.5)
-    return rep.finish()
 
 
-def cmd_berezin(cfg, args, rep: Reporter) -> int:
+def cmd_berezin(cfg, args, rep: Reporter) -> None:
     pot = build_potential(cfg)
     m, n, tau = resolve_mn(cfg)
     kern = weighted_kernel(pot, m, n)
     grid = default_grid(pot, m, n)
     drop = compute_droplet(pot, tau)
-    anchors = cfg_get(cfg, "berezin.anchors", [0.0, 0.5 * drop.radius, 1.2 * drop.radius])
-    for a in np.atleast_1d(anchors):
+    for a in (0.0, 0.5 * drop.radius, 1.2 * drop.radius):
         bk = bz.berezin_kernel(kern, complex(a))
         rep.check(f"berezin_mass(anchor={complex(a):.3g})", bk.mass(grid), 1.0, 1e-6)
     calm = bz.conditional_identity_check(pot, n, grid)
@@ -414,10 +402,9 @@ def cmd_berezin(cfg, args, rep: Reporter) -> int:
     rows = [[float(r), float(bk0.density(complex(r))),
              float(np.exp(-m * float(pot.evaluate(complex(r))) - log_h0))] for r in radii]
     rep.write_csv("berezin_profile.csv", ["radius", "density", "origin_prediction"], rows)
-    return rep.finish()
 
 
-def cmd_scaling(cfg, args, rep: Reporter) -> int:
+def cmd_scaling(cfg, args, rep: Reporter) -> None:
     pot = build_potential(cfg)
     m, n, _ = resolve_mn(cfg)
     kern = weighted_kernel(pot, m, n)
@@ -434,10 +421,9 @@ def cmd_scaling(cfg, args, rep: Reporter) -> int:
                    in zip(prof.distances, prof.values, prof.prediction)])
     rep.check("conditioned_onepoint_sup_deviation",
               float(np.max(np.abs(prof.values - prof.prediction))), 0.0, 0.02)
-    return rep.finish()
 
 
-def cmd_boundary(cfg, args, rep: Reporter) -> int:
+def cmd_boundary(cfg, args, rep: Reporter) -> None:
     pot = build_potential(cfg)
     m, n, tau = resolve_mn(cfg)
     seed = require_seed(cfg, args)
@@ -455,7 +441,6 @@ def cmd_boundary(cfg, args, rep: Reporter) -> int:
     rep.check("boundary_fluct_mean", mean, pred.e_f,
               3.0 * float(vals.std(ddof=1) / np.sqrt(len(vals))))
     rep.check("boundary_fluct_variance", var, pred.v_f2, 0.15 * pred.v_f2)
-    return rep.finish()
 
 
 COMMANDS = {
@@ -498,7 +483,8 @@ def run(argv=None) -> int:
     try:
         cfg = parse_config(args.config) if args.config else {}
         rep = Reporter(args.out, args.subcommand, args.gnuplot)
-        return COMMANDS[args.subcommand](cfg, args, rep)
+        COMMANDS[args.subcommand](cfg, args, rep)
+        return rep.finish()
     except (GridResolutionError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,15 +88,10 @@ def s_k(k: int) -> Fraction:
                 for t in composition_terms(k)), Fraction(0))
 
 
-def _value_fn(g) -> Callable:
-    return getattr(g, "value", g)
-
-
 def g_k_eval(g, points: Sequence[complex]) -> float:
     """Composition-sum statistic of k points: exact rational coefficients
     against float function values.  Vanishes identically on the diagonal."""
-    val = _value_fn(g)
-    vals = [float(np.real(val(np.asarray(p, dtype=complex)))) for p in points]
+    vals = [float(np.real(g.value(np.asarray(p, dtype=complex)))) for p in points]
     k = len(points)
     total = 0.0
     for term in composition_terms(k):
@@ -248,7 +243,7 @@ def _moment_matrices(kern: WeightedKernel, grid: QuadratureGrid, g, powers):
         D, z = 1, r.astype(complex)
     else:
         D, z = n, grid.nodes
-    gv = np.asarray(np.real(_value_fn(g)(z)), dtype=float).reshape(r.size, -1)
+    gv = np.asarray(np.real(g.value(z)), dtype=float).reshape(r.size, -1)
     C = [np.fft.ifft(gv**p, axis=1)[:, np.arange(D) % gv.shape[1]] for p in powers]
     # one real product on a contiguous array: each entry is the same for any
     # number of powers, so a series extended in steps is bit-identical

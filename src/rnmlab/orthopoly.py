@@ -290,11 +290,14 @@ class WeightedKernel:
     one-point density R1(z) = K(z,z) e^{-mQ(z)} of the rank-n projection."""
 
     basis: OrthonormalBasis
-    potential: Potential
     # Results that depend on this kernel, so they live and die with it (the
     # moment series of cumulants.dpp_cumulant).  Each entry is replaced whole
     # by one store, so threads sharing a kernel at worst repeat work.
     memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def potential(self) -> Potential:
+        return self.basis.potential
 
     @property
     def m(self) -> float:
@@ -490,7 +493,7 @@ class RadialLaw:
 def weighted_kernel(pot: Potential, m: float, n: int) -> WeightedKernel:
     """Kernel of the radial norms; a field without a radial profile raises
     UnsupportedPotentialError."""
-    return WeightedKernel(radial_norms(pot, m, n), pot)
+    return WeightedKernel(radial_norms(pot, m, n))
 
 
 def diagonal_expansion_residual(kern: WeightedKernel, z) -> float:

@@ -88,11 +88,6 @@ class Potential:
         fine = quarter_lap_radial(r, 0.5 * h)
         return 0.5 * ((4.0 * fine - coarse) / 3.0)
 
-    def growth_margin(self, radii):
-        """Q(r) - rho*log r^2 on a radial grid; positive where growth holds."""
-        r = np.asarray(radii, dtype=float)
-        return self.evaluate(r.astype(complex)) - self.growth_exponent * np.log(r**2)
-
 
 @dataclass(frozen=True, eq=False)
 class Droplet:

@@ -24,21 +24,19 @@ from .potential import Potential, compute_droplet
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs shared by the samplers; defaults are calibrated so the |z|^2
-    field at n = 16 runs near 60% Metropolis acceptance."""
+    """Seed and Metropolis schedule shared by the samplers.  The Metropolis
+    step has no scale knob; its rule (``sample_mcmc``) runs the |z|^2 field
+    at n = 16 near 60% acceptance."""
 
     master_seed: int = 0
     burn_in_sweeps: int = 2000
     thin_stride: int = 20
-    proposal_scale: float = 1.0
 
     def __post_init__(self):
         if self.burn_in_sweeps < 0:
             raise ValueError("burn_in_sweeps must be >= 0")
         if self.thin_stride < 1:
             raise ValueError("thin_stride must be >= 1")
-        if self.proposal_scale <= 0:
-            raise ValueError("proposal_scale must be > 0")
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ def sample_mcmc(pot: Potential, m: float, n: int, cfg: SamplerConfig,
     configuration every thin_stride sweeps after burn-in.
 
     A sweep is one Gaussian proposal per particle, in index order, with
-    position-dependent scale s(z) = proposal_scale / sqrt(m max(lap Q(z), floor));
+    position-dependent scale s(z) = 1 / sqrt(m max(lap Q(z), floor));
     because the scale moves with the particle, the acceptance ratio carries the
     usual asymmetric-proposal correction on top of the target ratio.
 
@@ -217,8 +215,9 @@ def sample_mcmc(pot: Potential, m: float, n: int, cfg: SamplerConfig,
     root_half = np.sqrt(0.5)
 
     def half_scale(z):
-        # s(z) sqrt(1/2), the spread of each coordinate of a step
-        return cfg.proposal_scale / np.sqrt(m * np.maximum(pot.laplacian(z), floor)) * root_half
+        # s(z) sqrt(1/2), the spread of each coordinate of a step; 1 / ... then
+        # * root_half, an order that keeps every seeded chain bit-identical
+        return 1.0 / np.sqrt(m * np.maximum(pot.laplacian(z), floor)) * root_half
 
     points = radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
     # own entries of the n x 2n matrix against (x, y): y_i - x_i and y_i - y_i

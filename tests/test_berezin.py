@@ -3,9 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rnmlab.berezin import (AnchorError, berezin_density, berezin_kernel,
-                            berezin_transform, conditional_basis,
-                            conditional_expectation_identity,
+from rnmlab.berezin import (AnchorError, berezin_kernel, berezin_transform,
+                            conditional_basis, conditional_expectation_identity,
                             conditional_identity_check, conditional_one_point,
                             conditioned_onepoint_profile,
                             exterior_harmonic_measure_check,
@@ -40,7 +39,7 @@ def test_origin_anchor_closed_form(kern32):
     # K(0, w) keeps only the constant mode, so B^{<0>}(w) = n e^{-n |w|^2}
     n = 32
     for w in (0.0, 0.2, 0.5 + 0.1j):
-        assert berezin_density(kern32, 0.0, w) == \
+        assert berezin_kernel(kern32, 0.0).density(w) == \
             pytest.approx(n * np.exp(-n * abs(w) ** 2), rel=1e-10)
 
 
@@ -51,7 +50,7 @@ def test_mass_is_one(kern32, grid32, anchor):
 
 def test_density_at_anchor_equals_one_point(kern32):
     for z0 in (0.3, 0.7 + 0.2j):
-        assert berezin_density(kern32, z0, z0) == \
+        assert berezin_kernel(kern32, z0).density(z0) == \
             pytest.approx(float(kern32.one_point(z0)), rel=1e-10)
 
 
@@ -190,7 +189,7 @@ def test_conditional_origin_density_closed_form(pot):
     kern = weighted_kernel(pot, float(n), n)
     h0 = float(np.exp(radial_norms(pot, float(n), n).log_norms[0]))
     z = 0.4 + 0.2j
-    assert berezin_density(kern, 0.0, z) == \
+    assert berezin_kernel(kern, 0.0).density(z) == \
         pytest.approx(np.exp(-n * abs(z) ** 2) / h0, rel=1e-10)
 
 

@@ -169,6 +169,38 @@ def test_sample_dpp_ignores_envelope_margin(tmp_path):
     assert len(rows) == 1 + 3 * 4
 
 
+def test_sample_checks_format_before_drawing(tmp_path, monkeypatch, capsys):
+    # a misspelt format is a configuration error before any sample is drawn
+    monkeypatch.setattr("rnmlab.cli.draw_samples",
+                        lambda *args, **kwargs: pytest.fail("draw_samples was called"))
+    cfg = write_config(tmp_path, "n = 4\nsamples = 3\nseed = 4\noutput.format = xml\n")
+    assert run(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "output.format" in capsys.readouterr().err
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("sub, base, retired", [
+    ("sample", "n = 4\nsamples = 3\nseed = 2\nsampler.kind = mcmc\n"
+               "sampler.burn_in_sweeps = 20\n", "sampler.proposal_scale = 0.5"),
+    ("identities", "", "identities.k_max = 3"),
+    ("berezin", "n = 8\n", "berezin.anchors = 0.1"),
+], ids=["proposal_scale", "k_max", "anchors"])
+def test_retired_keys_are_ignored(tmp_path, sub, base, retired):
+    # a retired key is ignored like any unknown key: the same output tree
+    trees, codes = [], []
+    for name, text in (("without", base), ("with", base + retired + "\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        codes.append(run([sub, "--config", str(cfg), "--out", str(out)]))
+        trees.append(_tree(out))
+    assert codes[0] == codes[1] < 2
+    assert trees[0] == trees[1]
+
+
 def test_sample_jsonl_output(tmp_path):
     cfg = write_config(tmp_path,
                        "n = 3\nsamples = 2\noutput.format = jsonl\nseed = 4\n")

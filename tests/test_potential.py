@@ -300,13 +300,6 @@ def test_custom_nu_density_finite_differences():
     assert np.allclose(drop.nu_density(r.astype(complex)), expected, rtol=1e-7)
 
 
-def test_growth_margin_positive():
-    for pot in (make_ginibre(), make_radial_power(2)):
-        drop = compute_droplet(pot, 1.0)
-        radii = np.linspace(3 * drop.radius, 10 * drop.radius, 50)
-        assert np.all(pot.growth_margin(radii) > 0.0)
-
-
 def test_droplet_rejects_non_monotone_balance():
     # For radial fields strict subharmonicity is equivalent to r q'(r)
     # increasing (4 lap Q = (r q')'/r), so make_custom_radial cannot emit such

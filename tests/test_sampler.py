@@ -20,8 +20,6 @@ def test_sampler_config_validation():
         SamplerConfig(thin_stride=0)
     with pytest.raises(ValueError):
         SamplerConfig(burn_in_sweeps=-1)
-    with pytest.raises(ValueError):
-        SamplerConfig(proposal_scale=0.0)
 
 
 def test_stream_rng_deterministic_and_distinct():
@@ -132,7 +130,7 @@ def test_dpp_mean_square_sum_exact(field, seed):
 def test_radial_law_trace_guard():
     # norms off by 1e-6 make the mass of R1/n differ from 1: trace != n
     basis = radial_norms(make_ginibre(), 8.0, 8)
-    kern = WeightedKernel(replace(basis, log_norms=basis.log_norms + 1e-6), basis.potential)
+    kern = WeightedKernel(replace(basis, log_norms=basis.log_norms + 1e-6))
     with pytest.raises(GridResolutionError):
         kern.radial_law
 
@@ -222,7 +220,7 @@ def _reference_mcmc(pot, m, n, cfg, rng, count):
     floor = float(pot.laplacian(complex(0.5 * radius)))
 
     def scale(z):
-        return cfg.proposal_scale / np.sqrt(m * max(float(pot.laplacian(z)), floor))
+        return 1.0 / np.sqrt(m * max(float(pot.laplacian(z)), floor))
 
     pts = radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
     accepted, sweep, out = 0, 0, []

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from rnmlab.orthopoly import QuadratureGrid, UnsupportedPotentialError
 from rnmlab.potential import compute_droplet, make_ginibre, make_radial_power
-from rnmlab.sampler import PointConfiguration, sample_ginibre_matrix, stream_rng
+from rnmlab.sampler import PointConfiguration, stream_rng
 from rnmlab.statistics import (SupportError, boundary_statistics, bump,
                                clt_report, covariance_check,
                                covariance_prediction, dirichlet_energy,
@@ -342,8 +342,11 @@ def test_tilting_ginibre_n16(ginibre_droplet):
     pot = make_ginibre()
     g = bump(0.0, 0.5)
     lam_grid = np.linspace(-1.0, 1.0, 9)
+    # Kostlan: n |lambda_k|^2, k = 1..n, are independent Gamma(k), so for the
+    # radial bump this bank has the statistic's exact law; angles play no role
     rng = stream_rng(61, 0)
-    bank = [sample_ginibre_matrix(16, rng) for _ in range(100_000)]
+    radii = np.sqrt(rng.standard_gamma(np.arange(1.0, 17.0), size=(100_000, 16)) / 16)
+    bank = [PointConfiguration(points=r) for r in radii]
     res = tilting_check(bank, g, lam_grid, ginibre_droplet)
     # F'(0) is the plain fluctuation mean; prediction e_g = 0
     mid = res.rows[4]
