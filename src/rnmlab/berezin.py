@@ -171,12 +171,12 @@ def conditional_expectation_identity(pot: Potential, n: int, f,
 
     The densities are radial and every node of a ring has the same weight,
     so each grid integral is exactly the dot product of the radial density
-    with f's per-ring integrals (``ring_weights`` times f's mean over the
-    ring).  f itself need not be radial: it is evaluated once on every node.
+    with f's ring integrals, ``ring_weights`` times ``ring_means`` of f, which
+    need not be radial.
     """
     grid, b0, r1, r1_pinned = _pinned_densities(pot, n, grid)
-    vals = np.asarray(np.real(f.value(grid.nodes)), dtype=float)
-    f_rings = grid.ring_weights * vals.reshape(-1, grid.n_theta).mean(axis=1)
+    f_rings = grid.ring_weights * grid.ring_means(
+        lambda z: np.asarray(np.real(f.value(z)), dtype=float))
     return abs(float(f_rings @ b0) - (float(f_rings @ r1) - float(f_rings @ r1_pinned)))
 
 

@@ -191,19 +191,20 @@ def gaussian_pair_integrals() -> PairIntegrals:
     The (r, rho) part of the integrand depends on the angles only through
     theta - phi, so the 4-D tensor sum is assembled from a radial reduction
     V(psi) followed by the full double angular sum.  V is summed for
-    psi <= pi in one product; V(2 pi - psi) = conj V(psi) gives the rest.
+    psi <= pi by radial rows; V(2 pi - psi) = conj V(psi) gives the rest.
     """
     grid = QuadratureGrid.disk(7.0, n_radial=96, n_theta=112)
     r, wr, psi, n_theta = grid.radial_nodes, grid.radial_weights, grid.thetas, grid.n_theta
     dtheta = 2.0 * np.pi / n_theta
 
-    rr = r[:, None]
-    pp = r[None, :]
-    weight = (wr[:, None] * wr[None, :]) * (rr * pp) ** 2  # measure r dr * prefactor r
     upper = n_theta // 2 + 1  # psi_l <= pi
-    arg = np.multiply.outer(rr * pp, np.exp(1j * psi[:upper]))
-    arg -= (rr**2 + pp**2)[..., None]
-    V = weight.ravel() @ np.exp(arg, out=arg).reshape(weight.size, upper)
+    phase = np.exp(1j * psi[:upper])
+    V = np.zeros(upper, dtype=complex)
+    for a, wa in zip(r, wr):
+        weight = (wa * wr) * (a * r) ** 2  # measure r dr * prefactor r
+        arg = np.multiply.outer(a * r, phase)
+        arg -= (a**2 + r**2)[:, None]
+        V += weight @ np.exp(arg, out=arg)
     V = np.concatenate([V, np.conj(V[1:n_theta - upper + 1][::-1])])
 
     idx = np.arange(n_theta)

@@ -61,39 +61,53 @@ class QuadratureGrid:
 
     Radial direction: Gauss-Legendre on [0, r_cut].  Angular direction:
     n_theta uniform nodes, which integrate e^{ik theta} exactly for
-    0 < |k| < n_theta.  ``weights`` absorb the polar Jacobian and the 1/pi.
+    0 < |k| < n_theta.  ``weights`` absorb the polar Jacobian and the 1/pi;
+    they and ``nodes``, 2-D arrays that ``ring_means`` never needs, are built on first read.
     """
 
     radial_nodes: np.ndarray
     radial_weights: np.ndarray
     n_theta: int
-    nodes: np.ndarray
-    weights: np.ndarray
 
     @classmethod
     def disk(cls, r_cut: float, n_radial: int = 400, n_theta: int = 256) -> "QuadratureGrid":
         r, wr = _panel_rule(0.0, r_cut, 1, n_radial)
-        z = r[:, None] * np.exp(1j * _uniform_angles(n_theta))[None, :]
-        wa = np.broadcast_to((2.0 / n_theta) * (wr * r)[:, None], z.shape)
-        return cls(radial_nodes=r, radial_weights=wr, n_theta=int(n_theta),
-                   nodes=z.ravel(), weights=wa.ravel().copy())
+        return cls(radial_nodes=r, radial_weights=wr, n_theta=int(n_theta))
 
     @property
     def thetas(self) -> np.ndarray:
         """The n_theta uniform angles of the product grid."""
         return _uniform_angles(self.n_theta)
 
+    def _ring_nodes(self, r) -> np.ndarray:
+        """The nodes r e^{i theta} of the rings of radii r, one row per ring."""
+        return r[:, None] * np.exp(1j * self.thetas)[None, :]
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return self._ring_nodes(self.radial_nodes).ravel()
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        wa = (2.0 / self.n_theta) * (self.radial_weights * self.radial_nodes)
+        return np.repeat(wa, self.n_theta)
+
     @property
     def ring_weights(self) -> np.ndarray:
-        """Sum over theta of each ring's node weights, 2 r w_r.
-
-        Every node of ring r carries the same weight, so for a radial h,
-        integrate(h(nodes)) = ring_weights @ h(radial_nodes): the same sum
-        with the n_theta equal terms of each ring collected, exact up to the
-        rounding of |r e^{i theta}|.  A non-radial h enters through its mean
-        over each ring, (ring_weights * mean_theta h) summed over the rings.
-        """
+        """Sum over theta of each ring's node weights, 2 r w_r: the nodes of a
+        ring share one weight, so integrate(h(nodes)) = ring_weights @ ring_means(h)."""
         return 2.0 * self.radial_nodes * self.radial_weights
+
+    def ring_means(self, fn, center: complex = 0.0, radial: bool = False) -> np.ndarray:
+        """Mean of fn over each ring's nodes about ``center``, from blocks of at
+        most _RING_BLOCK nodes; with ``radial`` (fn invariant under rotations
+        about ``center``) one evaluation per ring, at center + r."""
+        r = self.radial_nodes
+        if radial:
+            return np.asarray(fn(center + r.astype(complex)))
+        rows = max(1, _RING_BLOCK // self.n_theta)
+        return np.concatenate([np.asarray(fn(center + self._ring_nodes(r[i:i + rows])))
+                               .mean(axis=-1) for i in range(0, r.size, rows)])
 
     def integrate(self, values) -> complex:
         return np.sum(self.weights * np.asarray(values).ravel())
@@ -232,28 +246,34 @@ def _norm_bands(pot: Potential, m: float, n: int, edges: np.ndarray):
     log(node count) plus log(largest / smallest Gauss-Legendre weight), so
     the dropped terms together weigh less than e^{-40} times a term of the
     smallest weight at the top edge value.
-    Rows of f differ by 2 log r, which grows with r, so lo and hi are
-    nondecreasing in k.
+    Rows of f differ by 2 log r, which grows with r, so the top edge, lo and
+    hi are nondecreasing in k, and each live set is an interval around the
+    top edge: each mode's search starts from the previous mode's band.
     """
     w = leggauss(16)[1]
     panels = edges.size - 1
-    cut = _NORM_CUT + np.log(w.size * panels) + np.log(w.max() / w.min())
+    cut = float(_NORM_CUT + np.log(w.size * panels) + np.log(w.max() / w.min()))
     with np.errstate(divide="ignore"):
-        log_e = np.log(edges)  # -inf at the origin, never live
-    mq = m * np.asarray(pot.radial_profile.q(edges), dtype=float)
-    lo = np.empty(n, dtype=int)
-    hi = np.empty(n, dtype=int)
-    step = max(1, _CHUNK // edges.size)
-    for k0 in range(0, n, step):
-        f = (2.0 * np.arange(k0, min(n, k0 + step)) + 1.0)[:, None] * log_e
-        f -= mq
-        live = f >= f.max(axis=1, keepdims=True) - cut
-        first = live.argmax(axis=1)
-        last = panels - live[:, ::-1].argmax(axis=1)
+        log_e = np.log(edges).tolist()  # -inf at the origin, never live
+    mq = (m * np.asarray(pot.radial_profile.q(edges), dtype=float)).tolist()
+    lo, hi = [], []
+    top = first = last = 0
+    for k in range(n):
+        c = 2.0 * k + 1.0
+        f_top = c * log_e[top] - mq[top]
+        while top < panels and c * log_e[top + 1] - mq[top + 1] >= f_top:
+            top += 1
+            f_top = c * log_e[top] - mq[top]
+        floor = f_top - cut
+        while c * log_e[first] - mq[first] < floor:
+            first += 1
+        last = max(last, top)
+        while last < panels and c * log_e[last + 1] - mq[last + 1] >= floor:
+            last += 1
         # every panel with a live edge
-        lo[k0:k0 + step] = np.maximum(first - 1, 0)
-        hi[k0:k0 + step] = np.minimum(last + 1, panels)
-    return lo, hi
+        lo.append(max(first - 1, 0))
+        hi.append(min(last + 1, panels))
+    return np.array(lo, dtype=int), np.array(hi, dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +294,7 @@ def _shifted_phase_sum(logmag, phase=None):
 
 
 _CHUNK = 1 << 22  # cap on batch * n intermediate entries
+_RING_BLOCK = 8192  # cap on the nodes of one block of ``QuadratureGrid.ring_means``
 
 _LOG_FLOOR = -1e250  # stands in for log(0); k * floor still underflows exp to 0
 
@@ -380,13 +401,9 @@ class WeightedKernel:
         return out if out.shape else float(out)
 
     def trace_on(self, grid: QuadratureGrid) -> float:
-        """Grid mass of R1, which is n when the grid resolves the kernel.
-
-        R1(z) depends on |z| alone (the basis is radial), so the node sum is
-        the sum over the radial nodes against ``grid.ring_weights``: one
-        kernel evaluation per ring, not per node.
-        """
-        return float(grid.ring_weights @ self.one_point(grid.radial_nodes))
+        """Grid mass of R1, which is n when the grid resolves the kernel; R1 is
+        radial (so is the basis), so it is evaluated once per ring."""
+        return float(grid.ring_weights @ grid.ring_means(self.one_point, radial=True))
 
     @cached_property
     def radial_law(self) -> "RadialLaw":

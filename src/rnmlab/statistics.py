@@ -137,16 +137,11 @@ def re_coordinate(taper_start: float = 2.0, taper_end: float = 3.0) -> TestFunct
 # quadrature helpers on a support disk
 
 
-def _disk_integral(center: complex, radius: float, *factors) -> float:
-    """int of the product of factors(z) over the disk |z - center| <= radius
-    against dA, on ``QuadratureGrid.disk(radius)``; the node weights multiply
-    the factors from the left, in order."""
+def _disk_integral(center: complex, radius: float, fn, radial: bool = False) -> float:
+    """int of fn over the disk |z - center| <= radius against dA, on
+    ``QuadratureGrid.disk(radius)`` ring by ring (``ring_means``)."""
     grid = QuadratureGrid.disk(radius)
-    z = center + grid.nodes
-    out = grid.weights
-    for f in factors:
-        out = out * np.asarray(f(z), dtype=float)
-    return float(np.sum(out))
+    return float(grid.ring_weights @ grid.ring_means(fn, center, radial))
 
 
 @lru_cache(maxsize=32)
@@ -158,7 +153,7 @@ def gradient_pair_integral(f: TestFunction, g: TestFunction) -> float:
             raise SupportError("gradient integrals need compact supports")
     t = f if f.support_radius <= g.support_radius else g
     return _disk_integral(t.support_center, t.support_radius, lambda z: np.sum(
-        np.asarray(f.gradient(z)) * np.asarray(g.gradient(z)), axis=-1))
+        np.asarray(f.gradient(z)) * np.asarray(g.gradient(z)), axis=-1), f.radial and g.radial)
 
 
 def dirichlet_energy(g: TestFunction) -> float:
@@ -178,7 +173,8 @@ def covariance_prediction(f: TestFunction, g: TestFunction) -> float:
 @lru_cache(maxsize=32)
 def equilibrium_integral(g: TestFunction, drop: Droplet) -> float:
     """int g d(sigma_tau), cached per (statistic, droplet)."""
-    return _disk_integral(0.0, drop.radius, g.value, drop.equilibrium_density)
+    return _disk_integral(0.0, drop.radius, lambda z: g.value(z) * drop.equilibrium_density(z),
+                          g.radial)
 
 
 @lru_cache(maxsize=32)
@@ -186,7 +182,7 @@ def mean_prediction(g: TestFunction, drop: Droplet) -> float:
     """Limiting fluctuation mean: the correction-measure integral of g, its
     density part on the disk plus sum mass * g(point) over the field's atoms
     (the origin of a power field |z|^(2p), p >= 2)."""
-    total = _disk_integral(0.0, drop.radius, g.value, drop.nu_density)
+    total = _disk_integral(0.0, drop.radius, lambda z: g.value(z) * drop.nu_density(z), g.radial)
     for point, mass in drop.potential.subleading_atoms:
         total += mass * float(np.real(g.value(complex(point))))
     return total
@@ -418,8 +414,8 @@ def boundary_statistics(f: TestFunction, drop: Droplet) -> BoundaryPrediction:
     kk = np.fft.fftfreq(n_theta, d=1.0 / n_theta)
     exterior = 2.0 * float(np.sum(np.abs(kk) * np.abs(coeff) ** 2))
 
-    gsq = np.sum(np.asarray(f.gradient(grid.nodes)) ** 2, axis=-1)
-    interior = float(np.sum(grid.weights * gsq))
+    interior = float(grid.ring_weights @ grid.ring_means(
+        lambda z: np.sum(np.asarray(f.gradient(z)) ** 2, axis=-1), radial=f.radial))
 
     return BoundaryPrediction(e_f=e_f, v_f2=0.25 * (interior + exterior),
                               interior_energy=interior, exterior_energy=exterior)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from rnmlab.potential import compute_droplet, make_custom_radial, make_ginibre
+from rnmlab.potential import (compute_droplet, make_custom_radial, make_ginibre,
+                              make_tabulated_radial)
 from rnmlab.orthopoly import default_grid, weighted_kernel
 from rnmlab.sampler import (SamplerConfig, collect_mcmc, sample_dpp,
                             sample_ginibre_matrix, stream_rng)
@@ -15,6 +16,13 @@ def spline_field():
     r = np.linspace(0.0, 6.0, 600)
     return make_custom_radial(CubicSpline(r, r**2 / 2 + r**4 / 4), CubicSpline(r, r + r**3),
                               CubicSpline(r, 1.0 + 3.0 * r**2), 10.0, name="spline")
+
+
+def tabulated_quartic():
+    """The table the CI's custom-field step writes: q = r^2/2 + r^4/4 on
+    [0, 6], through the CLI's interpolant (``make_tabulated_radial``)."""
+    r = np.linspace(0.0, 6.0, 600)
+    return make_tabulated_radial(r, r**2 / 2 + r**4 / 4, r + r**3, 1.0 + 3.0 * r**2, 10.0)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,16 +8,15 @@ import pytest
 
 from rnmlab import orthopoly
 from rnmlab.berezin import wavefunction_measure
-from rnmlab.orthopoly import (_PANELS, DivergentNormError, QuadratureGrid,
+from rnmlab.orthopoly import (_NORM_CUT, _PANELS, DivergentNormError, QuadratureGrid,
                               UnsupportedPotentialError, _norm_bands, _norm_window,
                               bergman_approx,
                               default_grid, diagonal_expansion_residual,
                               fit_decay_rate, nystrom_matrix, offdiagonal_decay_profile,
                               radial_norms, weighted_kernel)
-from rnmlab.potential import (make_custom_radial, make_ginibre, make_radial_power,
-                              make_tabulated_radial)
+from rnmlab.potential import make_custom_radial, make_ginibre, make_radial_power
 
-from conftest import spline_field
+from conftest import spline_field, tabulated_quartic
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +34,40 @@ def test_grid_angular_exactness():
     w = grid.weights
     for k in (1, 5, 31):
         assert abs(np.sum(w * np.exp(1j * k * theta))) < 1e-12
+
+
+def test_disk_builds_node_arrays_on_first_read():
+    # a 400 x 256 disk is 1.6 MB of complex nodes; it holds only its rings
+    # until nodes or weights are read, and then the product-grid arrays
+    QuadratureGrid.disk(1.0)  # the cached 400-node rule: a 400 x 400 eigenproblem
+    tracemalloc.start()
+    try:
+        grid = QuadratureGrid.disk(1.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert "nodes" not in vars(grid) and "weights" not in vars(grid)
+    r, wr, n = grid.radial_nodes, grid.radial_weights, grid.n_theta
+    z = r[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(n) / n))[None, :]
+    wa = np.broadcast_to((2.0 / n) * (wr * r)[:, None], z.shape)
+    assert grid.nodes.tobytes() == z.ravel().tobytes()
+    assert grid.weights.tobytes() == wa.ravel().copy().tobytes()
+    assert grid.nodes is grid.nodes and grid.weights is grid.weights
+
+
+@pytest.mark.parametrize("n_theta", [64, 256, 512, 10_000])
+def test_ring_means_are_node_means(n_theta):
+    # blocks of rings (one ring when n_theta exceeds the block) see the
+    # nodes themselves, so each ring's mean is the mean over its nodes
+    grid = QuadratureGrid.disk(0.9, n_radial=50, n_theta=n_theta)
+    c = 0.1 - 0.2j
+
+    def fn(z):
+        return np.cos(3.0 * z.real) * np.exp(z.imag) + np.abs(z - 0.3)
+
+    want = fn(c + grid.nodes).reshape(-1, n_theta).mean(axis=1)
+    assert grid.ring_means(fn, center=c).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +119,11 @@ def _log1p_field(rho=1.0):
     )
 
 
-def _tabulated_quartic():
-    # the table the CI's custom-field step writes: q = r^2/2 + r^4/4 on [0, 6]
-    r = np.linspace(0.0, 6.0, 600)
-    return make_tabulated_radial(r, r**2 / 2 + r**4 / 4, r + r**3, 1.0 + 3.0 * r**2, 10.0)
-
-
 _NORM_FIELDS = {
     "ginibre-1024": (make_ginibre, 1024.0, 1024),
     "power2-256": (lambda: make_radial_power(2), 256.0, 256),
     "power3-64": (lambda: make_radial_power(3), 64.0, 64),
-    "quartic-64": (_tabulated_quartic, 64.0, 64),
+    "quartic-64": (tabulated_quartic, 64.0, 64),
     "log1p-24": (_log1p_field, 40.0, 24),
 }
 
@@ -175,6 +203,32 @@ def test_norm_bands_keep_peak_panel():
     assert np.sort(f)[-2] < f.max() - 60.0  # a lone live edge
     assert (lo[-1], hi[-1]) == (top - 1, top + 1)
     assert np.all(lo <= hi - 1)
+
+
+def _dense_norm_bands(pot, m, n, edges):
+    """The bands by the whole n x (panels + 1) matrix of edge values: each
+    mode's first and last edge within the cut of its largest."""
+    w = np.polynomial.legendre.leggauss(16)[1]
+    panels = edges.size - 1
+    cut = _NORM_CUT + np.log(w.size * panels) + np.log(w.max() / w.min())
+    with np.errstate(divide="ignore"):
+        f = (2.0 * np.arange(n) + 1.0)[:, None] * np.log(edges)
+    f -= m * np.asarray(pot.radial_profile.q(edges), dtype=float)
+    live = f >= f.max(axis=1, keepdims=True) - cut
+    first = live.argmax(axis=1)
+    last = panels - live[:, ::-1].argmax(axis=1)
+    return np.maximum(first - 1, 0), np.minimum(last + 1, panels)
+
+
+@pytest.mark.parametrize("field", ["ginibre", "power2", "power3", "quartic"])
+def test_norm_bands_match_dense_rule(field):
+    pot = {"ginibre": make_ginibre, "power2": lambda: make_radial_power(2),
+           "power3": lambda: make_radial_power(3), "quartic": tabulated_quartic}[field]()
+    for n in (1, 2, 17, 256, 4096):
+        edges = np.linspace(0.0, _norm_window(pot, float(n), n), _PANELS + 1)
+        lo, hi = _norm_bands(pot, float(n), n, edges)
+        want_lo, want_hi = _dense_norm_bands(pot, float(n), n, edges)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
 
 @pytest.mark.parametrize("p, n", [(1, 4096), (2, 1024)])
