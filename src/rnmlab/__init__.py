@@ -26,11 +26,8 @@ from .orthopoly import (
     default_grid,
     radial_norms,
     weighted_kernel,
-    diagonal_expansion_residual,
     offdiagonal_decay_profile,
     fit_decay_rate,
-    bergman_approx,
-    nystrom_matrix,
 )
 
 from .sampler import (
@@ -41,7 +38,6 @@ from .sampler import (
     sample_ginibre_matrix,
     sample_mcmc,
     collect_mcmc,
-    mcmc_log_ratio,
 )
 from .statistics import (
     TestFunction,
@@ -49,7 +45,6 @@ from .statistics import (
     SupportError,
     bump,
     re_coordinate,
-    fluct_value,
     fluct_values,
     trace_statistic,
     equilibrium_integral,
@@ -57,7 +52,6 @@ from .statistics import (
     variance_prediction,
     covariance_prediction,
     gradient_pair_integral,
-    dirichlet_energy,
     clt_report,
     covariance_check,
     tilting_check,
@@ -65,7 +59,6 @@ from .statistics import (
     jarque_bera,
 )
 from .cumulants import (
-    ExactRational,
     CompositionTerm,
     compositions,
     composition_terms,

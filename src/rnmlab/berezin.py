@@ -293,10 +293,14 @@ def rescaled_kernel(kern: WeightedKernel, z0: complex, z, w):
     sqrt(n lap Q(z0)):  k_n(z, w) = K_w(z0 + z/s, w0 + w/s) / (n lap Q(z0)).
 
     Only |k_n| is canonical (cocycle phases drop out of all determinants);
-    compare moduli against exp(-|z-w|^2/2).
+    compare moduli against exp(-|z-w|^2/2).  The rescaling needs lap Q(z0) > 0:
+    an anchor where it vanishes (the origin of a power field) raises AnchorError.
     """
     z0 = complex(z0)
     lap0 = float(kern.potential.laplacian(z0))
+    if not lap0 > 0.0:
+        raise AnchorError(f"lap Q({z0}) = {lap0:.3g}: the rescaling by "
+                          "sqrt(n lap Q) needs lap Q > 0 at the anchor")
     radius = compute_droplet(kern.potential, kern.n / kern.m).radius
     scale = np.sqrt(kern.n * lap0)
     if radius - abs(z0) < 9.0 / scale:

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -248,7 +249,7 @@ def cmd_identities(cfg, args, rep: Reporter) -> None:
     for k in range(2, 11):
         zs = cu.zero_sum_identity(k)
         sk = cu.s_k(k)
-        target = cu.ExactRational(2 if k == 2 else 0)
+        target = Fraction(2 if k == 2 else 0)
         ok = (zs == 0) and (sk == target)
         rows.append([k, str(zs), str(sk), "exact pass" if ok else "FAIL"])
         rep.check(f"zero_sum_identity(k={k})", float(zs), 0.0, 0.0)

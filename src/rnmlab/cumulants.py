@@ -20,9 +20,6 @@ import numpy as np
 
 from .orthopoly import GridResolutionError, QuadratureGrid, WeightedKernel
 
-ExactRational = Fraction
-
-
 def compositions(k: int, parts: int):
     """Ordered tuples of ``parts`` positive integers summing to k."""
     for cuts in itertools.combinations(range(1, k), parts - 1):
@@ -61,16 +58,6 @@ def stirling2(k: int, j: int) -> Fraction:
         return Fraction(1 if k == 0 else 0)
     total = sum((-1) ** r * math.comb(j, r) * (j - r) ** k for r in range(j + 1))
     return Fraction(total, math.factorial(j))
-
-
-def stirling2_recurrence(k: int, j: int) -> Fraction:
-    """Cross-check route: S(k,j) = j S(k-1,j) + S(k-1,j-1)."""
-    table = [[Fraction(0)] * (j + 1) for _ in range(k + 1)]
-    table[0][0] = Fraction(1)
-    for kk in range(1, k + 1):
-        for jj in range(1, min(kk, j) + 1):
-            table[kk][jj] = jj * table[kk - 1][jj] + table[kk - 1][jj - 1]
-    return table[k][j]
 
 
 def zero_sum_identity(k: int) -> Fraction:

@@ -25,7 +25,8 @@ class DivergentNormError(ValueError):
 
 
 class UnsupportedPotentialError(ValueError):
-    """Operation needs field data (radial profile, polarization) that is absent."""
+    """Operation needs field data that is absent (a radial profile) or field
+    structure the formula assumes (a constant Laplacian near the boundary)."""
 
 
 class GridResolutionError(ValueError):
@@ -513,16 +514,6 @@ def weighted_kernel(pot: Potential, m: float, n: int) -> WeightedKernel:
     return WeightedKernel(radial_norms(pot, m, n))
 
 
-def diagonal_expansion_residual(kern: WeightedKernel, z) -> float:
-    """| R1(z) - m lap Q(z) - (1/2) lap log lap Q(z) |, the bulk expansion
-    error; O(1/m) at bulk points (|z| <= 0.75 R)."""
-    z = np.asarray(z, dtype=complex)
-    pred = kern.m * np.asarray(kern.potential.laplacian(z), dtype=float) \
-        + np.asarray(kern.potential.subleading_density(z), dtype=float)
-    resid = np.abs(kern.one_point(z) - pred)
-    return float(resid) if resid.shape == () else resid
-
-
 def offdiagonal_decay_profile(kern: WeightedKernel, z0, radii) -> np.ndarray:
     """max over 64 angles of |weighted kernel(z0, z0 + h)| for each |h| in radii."""
     radii = np.asarray(radii, dtype=float)
@@ -541,32 +532,3 @@ def fit_decay_rate(radii, profile, m: float):
         raise ValueError("profile underflows on nearly all radii; reduce them")
     slope, _ = np.polyfit(radii[keep], -np.log(profile[keep]), 1)
     return float(slope), float(slope / np.sqrt(m))
-
-
-def bergman_approx(pot: Potential, m: float, z, w):
-    """First-order approximating kernel, weighted:
-    m b0(z, wbar) e^{m psi(z, wbar) - m(Q(z)+Q(w))/2}, b0 the polarized
-    quarter-Laplacian; the next term b1 is 0 on the power family.
-
-    Usable near the anti-diagonal; needs the field's polarization data.
-    """
-    if pot.analytic_extension is None or pot.polarized_laplacian is None:
-        raise UnsupportedPotentialError(
-            f"field {pot.name!r} carries no analytic extension")
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    wbar = np.conj(w)
-    psi = pot.analytic_extension(z, wbar)
-    b0 = pot.polarized_laplacian(z, wbar)
-    logmag = m * np.real(psi) - 0.5 * m * (np.asarray(pot.evaluate(z), dtype=float)
-                                           + np.asarray(pot.evaluate(w), dtype=float))
-    return m * b0 * np.exp(logmag) * np.exp(1j * m * np.imag(psi))
-
-
-def nystrom_matrix(kern: WeightedKernel, grid: QuadratureGrid) -> np.ndarray:
-    """Hermitian Nystrom matrix sqrt(w_a) K_w(z_a, z_b) sqrt(w_b).
-
-    Dense (G x G); meant for modest grids when checking projection identities.
-    """
-    U = kern.features(grid.nodes) * np.sqrt(grid.weights)[:, None]
-    return U @ U.conj().T

@@ -36,11 +36,8 @@ class RadialProfile:
 class Potential:
     """An external field Q with the derivative data the rest of the code needs.
 
-    ``analytic_extension`` is the polarization psi(z, wbar) with
-    psi(z, conj(z)) = Q(z), available for fields with a closed form (e.g.
-    (z*wbar)^p).  ``polarized_laplacian`` extends the quarter-Laplacian the
-    same way; ``subleading_closed`` is (1/2) * lap(log lap Q) when known in
-    closed form (identically 0 for the power family away from the origin).
+    ``subleading_closed`` is (1/2) * lap(log lap Q) when known in closed form
+    (identically 0 for the power family away from the origin).
     ``subleading_atoms`` lists the point masses (point, mass) of the
     correction measure nu = (1/2) lap(log lap Q) that a density cannot carry:
     for |z|^(2p), log lap Q = const + (p - 1) log|z|^2 puts mass (p - 1)/2
@@ -53,8 +50,6 @@ class Potential:
     gradient: Callable
     growth_exponent: float
     radial_profile: Optional[RadialProfile] = None
-    analytic_extension: Optional[Callable] = None
-    polarized_laplacian: Optional[Callable] = None
     subleading_closed: Optional[Callable] = None
     subleading_atoms: tuple = ()
 
@@ -153,8 +148,6 @@ def _power_field(p: int, name: str) -> Potential:
         gradient=gradient,
         growth_exponent=4.0,
         radial_profile=profile,
-        analytic_extension=lambda z, wbar: (_as_complex(z) * _as_complex(wbar)) ** p,
-        polarized_laplacian=lambda z, wbar: p**2 * (_as_complex(z) * _as_complex(wbar)) ** (p - 1),
         # log lap Q = const + (p-1) log|z|^2 is harmonic away from the origin,
         # and (1/2) lap of (p-1) log|z|^2 is mass (p-1)/2 at 0 (dA = d^2z/pi)
         subleading_closed=lambda z: np.zeros(np.asarray(z).shape, dtype=float),
@@ -166,7 +159,8 @@ _PROBE_RADII = np.geomspace(1e-3, 10.0, 400)
 
 
 def make_custom_radial(q, dq, d2q, growth_exponent: float, name: str = "custom") -> Potential:
-    """Field from a user-supplied radial profile; no analytic extension.
+    """Field from a user-supplied radial profile, with the subleading term by
+    finite differences.
 
     Rejects profiles whose quarter-Laplacian (q'' + q'/r)/4 is not strictly
     positive on the probe annulus 1e-3 <= r <= 10, reporting the offending

@@ -142,21 +142,6 @@ def sample_ginibre_matrix(n: int, rng: np.random.Generator) -> PointConfiguratio
 # Metropolis MCMC
 
 
-def mcmc_log_ratio(points: np.ndarray, i: int, proposal: complex,
-                   pot: Potential, m: float) -> float:
-    """Log target ratio of the single-particle move lambda_i -> proposal:
-    2 sum_k log|prop - lam_k| - 2 sum_k log|lam_i - lam_k| - m (Q(prop) - Q(lam_i)).
-    Returns -inf when the proposal collides with an existing point."""
-    lam = points[i]
-    others = np.delete(points, i)
-    dp = np.abs(proposal - others)
-    if np.any(dp == 0.0):
-        return -np.inf
-    dc = np.abs(lam - others)
-    return float(2.0 * (np.sum(np.log(dp)) - np.sum(np.log(dc)))
-                 - m * (float(pot.evaluate(proposal)) - float(pot.evaluate(lam))))
-
-
 def _log_dist2(a: np.ndarray, b: np.ndarray, own: np.ndarray) -> np.ndarray:
     """log |a_i - b_k|^2, with 0 (the square set to 1) at the flat indices
     ``own``: the entries of a particle against itself, which the pair sums
@@ -201,7 +186,7 @@ def sample_mcmc(pot: Potential, m: float, n: int, cfg: SamplerConfig,
     A zero distance is log 0 = -inf, which makes the margin -inf or NaN, so a
     collision is a rejection; so is (with probability zero) a proposal onto
     the sweep-start position of an earlier particle that has since moved.
-    ``mcmc_log_ratio`` is the scalar form of the target part of the ratio.
+    tests/test_sampler.py checks a sweep against a scalar one-move reference.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

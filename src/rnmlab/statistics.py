@@ -156,14 +156,9 @@ def gradient_pair_integral(f: TestFunction, g: TestFunction) -> float:
         np.asarray(f.gradient(z)) * np.asarray(g.gradient(z)), axis=-1), f.radial and g.radial)
 
 
-def dirichlet_energy(g: TestFunction) -> float:
-    """int |grad g|^2 dA."""
-    return gradient_pair_integral(g, g)
-
-
 def variance_prediction(g: TestFunction) -> float:
     """Limiting fluctuation variance (1/4) int |grad g|^2 dA."""
-    return 0.25 * dirichlet_energy(g)
+    return 0.25 * gradient_pair_integral(g, g)
 
 
 def covariance_prediction(f: TestFunction, g: TestFunction) -> float:
@@ -196,17 +191,11 @@ def trace_statistic(cfg: PointConfiguration, g: TestFunction) -> float:
     return float(np.sum(np.real(g.value(cfg.points))))
 
 
-def fluct_value(cfg: PointConfiguration, g: TestFunction, drop: Droplet) -> float:
-    """sum_j g(lambda_j) - n int g d(sigma_tau)."""
-    n = len(cfg.points)
-    return trace_statistic(cfg, g) - n * equilibrium_integral(g, drop)
-
-
 def fluct_values(samples: Sequence[PointConfiguration], g: TestFunction,
                  drop: Droplet) -> np.ndarray:
-    """``fluct_value`` of every configuration of a bank, with g evaluated
-    once over the stacked (N, n) points; a bank of mixed sizes n raises
-    ValueError."""
+    """sum_j g(lambda_j) - n int g d(sigma_tau) for every configuration of a
+    bank, with g evaluated once over the stacked (N, n) points; a bank of
+    mixed sizes n raises ValueError."""
     if len(samples) == 0:
         return np.empty(0)
     sizes = sorted({c.points.size for c in samples})

@@ -344,6 +344,14 @@ def test_rescaled_kernel_warns_near_boundary(pot):
         rescaled_kernel(kern, 0.95, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_rescaled_kernel_rejects_anchor_where_laplacian_vanishes(p):
+    # lap Q(0) = 0 on |z|^(2p), p >= 2: the scale sqrt(n lap Q) would be 0
+    kern = weighted_kernel(make_radial_power(p), 32.0, 32)
+    with pytest.raises(AnchorError, match="lap Q"):
+        rescaled_kernel(kern, 0.0, 0.0, 0.0)
+
+
 def test_conditioned_profile_limit():
     prof = conditioned_onepoint_profile(128)
     assert float(np.max(np.abs(prof.values - prof.prediction))) <= 0.02

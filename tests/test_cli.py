@@ -257,6 +257,16 @@ def test_scaling_subcommand(tmp_path):
     assert prof[0] == "distance,value,prediction"
 
 
+def test_scaling_anchor_where_laplacian_vanishes(tmp_path, capsys):
+    # the default anchor 0 of a power field has lap Q = 0: a configuration
+    # error, not a NaN deviation in the summary
+    cfg = write_config(tmp_path, "potential.family = power2\nn = 32\n")
+    out = tmp_path / "out"
+    assert run(["scaling", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (out / "scaling_summary.json").exists()
+
+
 def test_kernel_subcommand_with_gnuplot(tmp_path):
     cfg = write_config(tmp_path, "n = 32\n")
     out = tmp_path / "out"

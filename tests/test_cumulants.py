@@ -15,7 +15,7 @@ from rnmlab.cumulants import (composition_terms, compositions,
                               diagonal_laplacian_check, dpp_cumulant,
                               g_k_eval, gaussian_pair_integrals,
                               mixed_derivative_sum, s_k, stirling2,
-                              stirling2_recurrence, zero_sum_identity)
+                              zero_sum_identity)
 from rnmlab.orthopoly import (GridResolutionError, QuadratureGrid, WeightedKernel,
                               default_grid, weighted_kernel)
 from rnmlab.potential import compute_droplet, make_ginibre, make_radial_power
@@ -44,6 +44,16 @@ def brute_force_stirling(k, j):
         if len(set(assign)) == j:
             count += 1
     return Fraction(count, math.factorial(j))
+
+
+def stirling2_recurrence(k, j):
+    # second route: S(k, j) = j S(k-1, j) + S(k-1, j-1)
+    table = [[Fraction(0)] * (j + 1) for _ in range(k + 1)]
+    table[0][0] = Fraction(1)
+    for kk in range(1, k + 1):
+        for jj in range(1, min(kk, j) + 1):
+            table[kk][jj] = jj * table[kk - 1][jj] + table[kk - 1][jj - 1]
+    return table[k][j]
 
 
 def test_stirling_examples():

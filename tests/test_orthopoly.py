@@ -9,11 +9,8 @@ import pytest
 from rnmlab import orthopoly
 from rnmlab.berezin import wavefunction_measure
 from rnmlab.orthopoly import (_NORM_CUT, _PANELS, DivergentNormError, QuadratureGrid,
-                              UnsupportedPotentialError, _norm_bands, _norm_window,
-                              bergman_approx,
-                              default_grid, diagonal_expansion_residual,
-                              fit_decay_rate, nystrom_matrix, offdiagonal_decay_profile,
-                              radial_norms, weighted_kernel)
+                              _norm_bands, _norm_window, default_grid, fit_decay_rate,
+                              offdiagonal_decay_profile, radial_norms, weighted_kernel)
 from rnmlab.potential import make_custom_radial, make_ginibre, make_radial_power
 
 from conftest import spline_field, tabulated_quartic
@@ -346,7 +343,8 @@ def test_nystrom_projection_idempotent():
     pot = make_ginibre()
     m = n = 8
     grid = default_grid(pot, float(m), n, n_radial=60, n_theta=32)
-    K = nystrom_matrix(weighted_kernel(pot, float(m), n), grid)
+    U = weighted_kernel(pot, float(m), n).features(grid.nodes) * np.sqrt(grid.weights)[:, None]
+    K = U @ U.conj().T  # Nystrom matrix sqrt(w_a) K_w(z_a, z_b) sqrt(w_b)
     assert np.max(np.abs(K @ K - K)) < 1e-6
     assert np.trace(K).real == pytest.approx(n, abs=1e-6)
     assert np.max(np.abs(K - K.conj().T)) < 1e-12
@@ -356,8 +354,14 @@ def test_nystrom_projection_idempotent():
 # diagonal expansion (bulk one-point asymptotics)
 
 
+def _diagonal_residual(kern, z):
+    # | R1(z) - m lap Q(z) - (1/2) lap log lap Q(z) |, the bulk expansion error
+    pot = kern.potential
+    return abs(kern.one_point(z) - (kern.m * pot.laplacian(z) + pot.subleading_density(z)))
+
+
 def test_diagonal_expansion_budget(kern64):
-    resid = diagonal_expansion_residual(kern64, 0.3)
+    resid = _diagonal_residual(kern64, 0.3)
     assert resid <= 3.0 / 64
 
 
@@ -381,7 +385,7 @@ def test_diagonal_expansion_power_potential():
     m, n = 64.0, 32  # tau = 0.5, droplet radius (tau/2)^(1/4)
     kern = weighted_kernel(pot, m, n)
     z = 0.5
-    resid = diagonal_expansion_residual(kern, z)
+    resid = _diagonal_residual(kern, z)
     assert resid <= 0.1 * pot.laplacian(z)
 
 
@@ -412,44 +416,6 @@ def test_decay_rate_scales_with_sqrt_m():
         rates[n], eps = fit_decay_rate(radii, prof, float(n))
         assert eps > 0
     assert rates[100] >= 2.0 * rates[25]
-
-
-# ---------------------------------------------------------------------------
-# first-order approximating kernel
-
-
-def test_bergman_approx_ginibre_closed_form():
-    pot = make_ginibre()
-    m = 64.0
-    z, w = 0.3 + 0.1j, 0.25 - 0.05j
-    val = bergman_approx(pot, m, z, w)
-    expected = m * np.exp(m * (z * np.conj(w) - 0.5 * (abs(z) ** 2 + abs(w) ** 2)))
-    assert val == pytest.approx(expected, rel=1e-12)
-
-
-def test_bergman_approx_close_to_true_kernel(kern64):
-    val = bergman_approx(make_ginibre(), 64.0, 0.3, 0.3)
-    true = kern64.weighted(0.3, 0.3)
-    assert abs(val - true) <= 3.0 / 64
-
-
-def test_bergman_approx_quartic_diagonal():
-    pot = make_radial_power(2)
-    z = 0.6 + 0.2j
-    val = bergman_approx(pot, 32.0, z, z)
-    # on the diagonal the weighted exponent cancels: value = m * lap Q(z)
-    assert val == pytest.approx(32.0 * pot.laplacian(z), rel=1e-12)
-
-
-def test_bergman_approx_needs_polarization():
-    pot = make_custom_radial(
-        q=lambda r: np.asarray(r, dtype=float) ** 2,
-        dq=lambda r: 2.0 * np.asarray(r, dtype=float),
-        d2q=lambda r: 2.0 * np.ones_like(np.asarray(r, dtype=float)),
-        growth_exponent=4.0,
-    )
-    with pytest.raises(UnsupportedPotentialError):
-        bergman_approx(pot, 8.0, 0.1, 0.1)
 
 
 # ---------------------------------------------------------------------------

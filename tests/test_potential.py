@@ -15,8 +15,6 @@ def test_ginibre_values():
     pot = make_ginibre()
     assert pot.evaluate(1 + 1j) == pytest.approx(2.0)
     assert pot.laplacian(0.3) == pytest.approx(1.0)
-    z = 0.7 * np.exp(1j * np.pi / 3)
-    assert pot.analytic_extension(z, np.conj(z)) == pytest.approx(abs(z) ** 2)
 
 
 def test_power_matches_ginibre_at_p1():
@@ -39,9 +37,6 @@ def test_power_matches_ginibre_at_p1():
             for name in ("evaluate", "laplacian", "gradient", "subleading_closed",
                          "subleading_density"):
                 assert same(getattr(gin, name)(z), getattr(pot, name)(z)), name
-            for name in ("analytic_extension", "polarized_laplacian"):
-                assert same(getattr(gin, name)(z, np.conj(z)),
-                            getattr(pot, name)(z, np.conj(z))), name
             for name in ("q", "dq", "d2q"):
                 assert same(getattr(gin.radial_profile, name)(r),
                             getattr(pot.radial_profile, name)(r)), name

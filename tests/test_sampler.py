@@ -7,9 +7,8 @@ from scipy.stats import chisquare, gamma, ks_2samp
 from rnmlab.orthopoly import (GridResolutionError, WeightedKernel,
                               radial_norms, weighted_kernel)
 from rnmlab.potential import compute_droplet, make_ginibre, make_radial_power
-from rnmlab.sampler import (SamplerConfig, collect_mcmc, mcmc_log_ratio,
-                            sample_dpp, sample_ginibre_matrix, sample_mcmc,
-                            stream_rng)
+from rnmlab.sampler import (SamplerConfig, collect_mcmc, sample_dpp,
+                            sample_ginibre_matrix, sample_mcmc, stream_rng)
 from rnmlab.statistics import bump, trace_statistic
 
 from conftest import spline_field
@@ -209,6 +208,20 @@ def test_mcmc_determinism():
     b = collect_mcmc(pot, 8.0, 8, cfg, stream_rng(8, 0), 3)
     for x, y in zip(a, b):
         assert np.array_equal(x.points, y.points)
+
+
+def mcmc_log_ratio(points, i, proposal, pot, m):
+    """Log target ratio of the single-particle move lambda_i -> proposal:
+    2 sum_k log|prop - lam_k| - 2 sum_k log|lam_i - lam_k| - m (Q(prop) - Q(lam_i)).
+    Returns -inf when the proposal collides with an existing point."""
+    lam = points[i]
+    others = np.delete(points, i)
+    dp = np.abs(proposal - others)
+    if np.any(dp == 0.0):
+        return -np.inf
+    dc = np.abs(lam - others)
+    return float(2.0 * (np.sum(np.log(dp)) - np.sum(np.log(dc)))
+                 - m * (float(pot.evaluate(proposal)) - float(pot.evaluate(lam))))
 
 
 def _reference_mcmc(pot, m, n, cfg, rng, count):

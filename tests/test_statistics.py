@@ -13,10 +13,10 @@ from rnmlab.potential import compute_droplet, make_ginibre, make_radial_power
 from rnmlab.sampler import PointConfiguration, stream_rng
 from rnmlab.statistics import (SupportError, boundary_statistics, bump,
                                clt_report, covariance_check,
-                               covariance_prediction, dirichlet_energy,
-                               equilibrium_integral, fluct_value, fluct_values,
-                               jarque_bera, mean_prediction, re_coordinate,
-                               tilting_check, variance_prediction)
+                               covariance_prediction, equilibrium_integral,
+                               fluct_values, gradient_pair_integral, jarque_bera,
+                               mean_prediction, re_coordinate, tilting_check,
+                               trace_statistic, variance_prediction)
 
 from conftest import tabulated_quartic
 
@@ -64,7 +64,7 @@ def test_bump_laplacian_matches_finite_differences():
 
 def test_bump_dirichlet_energy_dual_quadrature():
     g = bump(0.0, 0.5)
-    via_grid = dirichlet_energy(g)
+    via_grid = gradient_pair_integral(g, g)
 
     def integrand(r):
         u = 4.0 * r * r
@@ -76,7 +76,8 @@ def test_bump_dirichlet_energy_dual_quadrature():
     assert via_grid == pytest.approx(via_quad, abs=1e-8)
     # scale invariance of the planar Dirichlet integral: the value is exactly 2
     assert via_grid == pytest.approx(2.0, abs=1e-9)
-    assert dirichlet_energy(bump(0.0, 0.2)) == pytest.approx(2.0, abs=1e-8)
+    g = bump(0.0, 0.2)
+    assert gradient_pair_integral(g, g) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_re_coordinate_derivatives_match_mpmath():
@@ -114,7 +115,7 @@ def test_fluct_zero_function(ginibre_droplet):
                    gradient=lambda z: np.zeros(np.asarray(z).shape + (2,)),
                    laplacian_std=lambda z: np.zeros(np.asarray(z).shape))
     cfg = PointConfiguration(points=np.array([0.1 + 0.1j, -0.2j]), meta={})
-    assert fluct_value(cfg, zero, ginibre_droplet) == 0.0
+    assert fluct_values([cfg], zero, ginibre_droplet)[0] == 0.0
 
 
 def test_fluct_single_point_matches_radial_quadrature(ginibre_droplet):
@@ -123,7 +124,7 @@ def test_fluct_single_point_matches_radial_quadrature(ginibre_droplet):
     cfg = PointConfiguration(points=np.array([lam]), meta={})
     base, _ = quad(lambda r: 2.0 * r * np.exp(1.0 - 1.0 / (1.0 - 4 * r * r)), 0.0, 0.5)
     expected = float(np.real(g.value(lam))) - base
-    assert fluct_value(cfg, g, ginibre_droplet) == pytest.approx(expected, abs=1e-9)
+    assert fluct_values([cfg], g, ginibre_droplet)[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_fluct_point_outside_support_shifts_deterministically(ginibre_droplet):
@@ -131,7 +132,7 @@ def test_fluct_point_outside_support_shifts_deterministically(ginibre_droplet):
     pts = np.array([0.1 + 0.05j, 0.2j])
     cfg1 = PointConfiguration(points=pts, meta={})
     cfg2 = PointConfiguration(points=np.append(pts, 0.8), meta={})
-    delta = fluct_value(cfg2, g, ginibre_droplet) - fluct_value(cfg1, g, ginibre_droplet)
+    delta = fluct_values([cfg2], g, ginibre_droplet)[0] - fluct_values([cfg1], g, ginibre_droplet)[0]
     assert delta == pytest.approx(-equilibrium_integral(g, ginibre_droplet), abs=1e-12)
 
 
@@ -148,9 +149,9 @@ def test_fluct_linearity(ginibre_droplet, matrix_bank_n16):
         laplacian_std=lambda z: 2.0 * np.asarray(f.laplacian_std(z)) - 3.0 * np.asarray(g.laplacian_std(z)),
     )
     for cfgp in matrix_bank_n16[:5]:
-        lhs = fluct_value(cfgp, combo, ginibre_droplet)
-        rhs = 2.0 * fluct_value(cfgp, f, ginibre_droplet) \
-            - 3.0 * fluct_value(cfgp, g, ginibre_droplet)
+        lhs = fluct_values([cfgp], combo, ginibre_droplet)[0]
+        rhs = 2.0 * fluct_values([cfgp], f, ginibre_droplet)[0] \
+            - 3.0 * fluct_values([cfgp], g, ginibre_droplet)[0]
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -161,7 +162,8 @@ def test_fluct_linearity(ginibre_droplet, matrix_bank_n16):
 ])
 def test_fluct_values_match_per_configuration_loop(request, ginibre_droplet, bank, g):
     samples = request.getfixturevalue(bank)
-    loop = np.array([fluct_value(c, g, ginibre_droplet) for c in samples])
+    loop = np.array([trace_statistic(c, g) - len(c.points) * equilibrium_integral(g, ginibre_droplet)
+                     for c in samples])
     got = fluct_values(samples, g, ginibre_droplet)
     assert got.dtype == loop.dtype and got.tobytes() == loop.tobytes()
 
