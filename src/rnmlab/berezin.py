@@ -92,8 +92,11 @@ def berezin_transform(kern: WeightedKernel, f, z0: complex,
     """B f(z0) = int f(w) B^{z0}(w) dA(w) by quadrature, together with the
     residual of the first-order expansion  B f = f + lap f / (m lap Q):
     residual = m (B f(z0) - f(z0)) - lap f(z0) / lap Q(z0), quarter-Laplacian
-    on both sides.  The expansion needs lap Q(z0) > 0: an anchor where it
-    vanishes (the origin of a power field) raises AnchorError."""
+    on both sides.  The quadrature runs block by block (``ring_blocks``): f
+    times ``density_grid`` on a block's rings, averaged over each ring, then
+    ``ring_weights`` against those means.  The expansion needs lap Q(z0) > 0:
+    an anchor where it vanishes (the origin of a power field) raises
+    AnchorError."""
     z0c = complex(z0)
     lap_q = float(kern.potential.laplacian(z0c))
     if not lap_q > 0.0:
@@ -102,9 +105,10 @@ def berezin_transform(kern: WeightedKernel, f, z0: complex,
     if grid is None:
         grid = default_grid(kern.potential, kern.m, kern.n)
     bk = berezin_kernel(kern, z0)
-    dens = bk.density_grid(grid.radial_nodes, grid.n_theta)
-    vals = np.asarray(np.real(f.value(grid.nodes)), dtype=float)
-    value = float(grid.integrate(vals * dens.ravel()))
+    r = grid.radial_nodes
+    means = [np.mean(np.real(f.value(z)) * bk.density_grid(r[rings], grid.n_theta), axis=1)
+             for rings, z in grid.ring_blocks()]
+    value = float(grid.ring_weights @ np.concatenate(means))
     quarter_lap_f = 0.25 * float(np.real(f.laplacian_std(z0c)))
     correction = quarter_lap_f / lap_q
     f0 = float(np.real(f.value(z0c)))

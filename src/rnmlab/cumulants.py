@@ -218,33 +218,45 @@ def _moment_matrices(kern: WeightedKernel, grid: QuadratureGrid, g, powers):
     over ring r, G_p = V^T C_p gives the Hermitian A_p, for l >= j
     A_p[j, l] = e^{c_{j+l} - (log h_j + log h_l)/2} G_p[j + l, l - j].  log h
     is convex, so the prefactor is at most about e^{c_s} / h_{s/2}.  A radial
-    g is sampled on the radial nodes, its ring means, and keeps d < D = 1;
-    any other g on the whole grid, with d < D = n aliasing mod n_theta
-    exactly as the grid sum does.
+    g is sampled once per ring, at its radial node, and keeps d < D = 1, so
+    its A_p are diagonal; any other g is sampled block by block
+    (``ring_blocks``) and keeps d < D = n, aliasing mod n_theta exactly as
+    the grid sum does.  The real and imaginary parts of every C_p go side by
+    side into one real (n_r, 2 P D) array R, so G = V^T R is one real
+    product, and each A_p is gathered from G entry by entry; no full-grid
+    array is built.
     """
     n, r, lh = kern.n, grid.radial_nodes, kern.basis.log_norms
-    logv = np.arange(2 * n - 1) * np.log(r)[:, None] \
+    V = np.arange(2 * n - 1) * np.log(r)[:, None] \
         - kern.m * np.asarray(kern.potential.evaluate(r), dtype=float)[:, None]
-    c = logv.max(axis=0)
-    V = np.exp(logv - c) * grid.ring_weights[:, None]
+    c = V.max(axis=0)
+    V -= c
+    np.exp(V, out=V)
+    V *= grid.ring_weights[:, None]
     if getattr(g, "radial", False):
-        D, z = 1, r.astype(complex)
+        D, blocks = 1, [(slice(None), r.astype(complex)[:, None])]
     else:
-        D, z = n, grid.nodes
-    gv = np.asarray(np.real(g.value(z)), dtype=float).reshape(r.size, -1)
-    C = [np.fft.ifft(gv**p, axis=1)[:, np.arange(D) % gv.shape[1]] for p in powers]
+        D, blocks = n, grid.ring_blocks()
+    R = np.empty((r.size, 2, len(powers), D))
+    for rings, z in blocks:
+        gv = np.asarray(np.real(g.value(z)), dtype=float)
+        for i, p in enumerate(powers):
+            C = np.fft.ifft(gv**p, axis=1)[:, np.arange(D) % gv.shape[1]]
+            R[rings, 0, i], R[rings, 1, i] = C.real, C.imag
     # one real product on a contiguous array: each entry is the same for any
     # number of powers, so a series extended in steps is bit-identical
-    G = V.T @ np.concatenate([x.real for x in C] + [x.imag for x in C], axis=1)
-    P = len(C)
-    band = np.zeros((P, 2 * n - 1, n), dtype=complex)  # G_p[s, d], zero for d >= D
-    band[..., :D] = (G[:, :P * D] + 1j * G[:, P * D:]).reshape(-1, P, D).swapaxes(0, 1)
+    G = (V.T @ R.reshape(r.size, -1)).reshape(-1, 2, len(powers), D)
     j = np.arange(n)
     s, d = j[:, None] + j, j - j[:, None]
-    A = np.take(band.reshape(P, -1), (s * n + np.abs(d)).ravel(), axis=1).reshape(P, n, n)
-    np.conjugate(A, out=A, where=d < 0)
-    A *= np.exp(c[s] - 0.5 * (lh[:, None] + lh)) \
-        / np.array([math.factorial(p) for p in powers], dtype=float)[:, None, None]
+    live, lower = np.abs(d) < D, d < 0
+    s_live, d_live = s[live], np.abs(d[live])
+    scale = np.exp(c[s] - 0.5 * (lh[:, None] + lh))
+    A = np.zeros((len(powers), n, n), dtype=complex)
+    for i, p in enumerate(powers):
+        A[i].real[live] = G[s_live, 0, i, d_live]
+        A[i].imag[live] = G[s_live, 1, i, d_live]
+        np.conjugate(A[i], out=A[i], where=lower)
+        A[i] *= scale / math.factorial(p)
     return tuple(A)
 
 

@@ -62,8 +62,11 @@ class QuadratureGrid:
 
     Radial direction: Gauss-Legendre on [0, r_cut].  Angular direction:
     n_theta uniform nodes, which integrate e^{ik theta} exactly for
-    0 < |k| < n_theta.  ``weights`` absorb the polar Jacobian and the 1/pi;
-    they and ``nodes``, 2-D arrays that ``ring_means`` never needs, are built on first read.
+    0 < |k| < n_theta.  The package integrates ring by ring: ``ring_blocks``
+    yields the nodes in blocks of at most _RING_BLOCK, and a ring's nodes
+    share one weight (``ring_weights``).  ``nodes``, ``weights`` (which absorb
+    the polar Jacobian and the 1/pi) and ``integrate`` hold the whole grid at
+    once; only tests read them, as references, and they are built on first read.
     """
 
     radial_nodes: np.ndarray
@@ -99,16 +102,25 @@ class QuadratureGrid:
         ring share one weight, so integrate(h(nodes)) = ring_weights @ ring_means(h)."""
         return 2.0 * self.radial_nodes * self.radial_weights
 
-    def ring_means(self, fn, center: complex = 0.0, radial: bool = False) -> np.ndarray:
-        """Mean of fn over each ring's nodes about ``center``, from blocks of at
-        most _RING_BLOCK nodes; with ``radial`` (fn invariant under rotations
-        about ``center``) one evaluation per ring, at center + r."""
+    def ring_blocks(self):
+        """(rings, nodes) for consecutive blocks of rings, in order: ``rings`` a
+        slice of the radial nodes, ``nodes`` their ring nodes, one row per ring.
+        A block holds at most _RING_BLOCK nodes, or one ring when n_theta is
+        larger."""
         r = self.radial_nodes
-        if radial:
-            return np.asarray(fn(center + r.astype(complex)))
         rows = max(1, _RING_BLOCK // self.n_theta)
-        return np.concatenate([np.asarray(fn(center + self._ring_nodes(r[i:i + rows])))
-                               .mean(axis=-1) for i in range(0, r.size, rows)])
+        for i in range(0, r.size, rows):
+            rings = slice(i, min(i + rows, r.size))
+            yield rings, self._ring_nodes(r[rings])
+
+    def ring_means(self, fn, center: complex = 0.0, radial: bool = False) -> np.ndarray:
+        """Mean of fn over each ring's nodes about ``center``, block by block
+        (``ring_blocks``); with ``radial`` (fn invariant under rotations about
+        ``center``) one evaluation per ring, at center + r."""
+        if radial:
+            return np.asarray(fn(center + self.radial_nodes.astype(complex)))
+        return np.concatenate([np.asarray(fn(center + z)).mean(axis=-1)
+                               for _, z in self.ring_blocks()])
 
     def integrate(self, values) -> complex:
         return np.sum(self.weights * np.asarray(values).ravel())
@@ -295,7 +307,7 @@ def _shifted_phase_sum(logmag, phase=None):
 
 
 _CHUNK = 1 << 22  # cap on batch * n intermediate entries
-_RING_BLOCK = 8192  # cap on the nodes of one block of ``QuadratureGrid.ring_means``
+_RING_BLOCK = 8192  # cap on the nodes of one block of ``QuadratureGrid.ring_blocks``
 
 _LOG_FLOOR = -1e250  # stands in for log(0); k * floor still underflows exp to 0
 

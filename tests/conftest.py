@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -23,6 +25,18 @@ def tabulated_quartic():
     [0, 6], through the CLI's interpolant (``make_tabulated_radial``)."""
     r = np.linspace(0.0, 6.0, 600)
     return make_tabulated_radial(r, r**2 / 2 + r**4 / 4, r + r**3, 1.0 + 3.0 * r**2, 10.0)
+
+
+def peak_bytes(fn):
+    """Peak of the memory that tracemalloc sees allocated while fn runs,
+    above what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,8 @@ from rnmlab.orthopoly import (UnsupportedPotentialError, default_grid,
 from rnmlab.potential import make_ginibre, make_radial_power
 from rnmlab.statistics import bump
 
+from conftest import peak_bytes
+
 
 @pytest.fixture(scope="module")
 def pot():
@@ -140,6 +142,38 @@ def test_transform_expansion_residual_shrinks(pot):
         grid = default_grid(pot, float(n), n)
         res[n] = abs(berezin_transform(kern, f, 0.1, grid).expansion_residual)
     assert res[256] < res[64]
+
+
+def _full_grid_transform(kern, f, z0, grid):
+    """B f(z0) as one sum over every node of the grid at once: the reference
+    for the ring-block quadrature of ``berezin_transform``."""
+    dens = berezin_kernel(kern, z0).density_grid(grid.radial_nodes, grid.n_theta)
+    vals = np.asarray(np.real(f.value(grid.nodes)), dtype=float)
+    return float(grid.integrate(vals * dens.ravel()))
+
+
+@pytest.mark.parametrize("n", [32, 256])
+@pytest.mark.parametrize("family", ["ginibre", "power2"])
+def test_transform_matches_full_grid_sum(family, n):
+    # the blocks of rings sum the same node values in another order
+    pot = make_ginibre() if family == "ginibre" else make_radial_power(2)
+    kern = weighted_kernel(pot, float(n), n)
+    grid = default_grid(pot, float(n), n)
+    f = bump(0.2 + 0.1j, 0.3)
+    for z0 in (0.25 + 0.1j, -0.3j):
+        value = berezin_transform(kern, f, z0, grid).value
+        assert value == pytest.approx(_full_grid_transform(kern, f, z0, grid), rel=1e-15)
+
+
+def test_transform_holds_no_grid_array(pot):
+    # at n = 256 the grid has 400 x 1024 nodes, 6.6 MB as complex numbers and
+    # 3.3 MB for the density; the blocks of rings hold at most 8192 of each
+    n = 256
+    kern = weighted_kernel(pot, float(n), n)
+    grid = default_grid(pot, float(n), n)
+    f = bump(0.2 + 0.1j, 0.3)
+    berezin_transform(kern, f, 0.25 + 0.1j, grid)  # warm the module caches
+    assert peak_bytes(lambda: berezin_transform(kern, f, -0.3j, grid)) < 2_000_000
 
 
 # ---------------------------------------------------------------------------

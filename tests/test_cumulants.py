@@ -23,6 +23,8 @@ from rnmlab.sampler import sample_ginibre_matrix, stream_rng
 from rnmlab.statistics import (bump, equilibrium_integral, fluct_values,
                                variance_prediction)
 
+from conftest import peak_bytes
+
 
 # ---------------------------------------------------------------------------
 # compositions and Stirling numbers
@@ -380,6 +382,63 @@ def test_moment_series_independent_of_call_order(ginibre_pot, monkeypatch):
     for k in (2, 3, 4):
         dpp_cumulant(kern, grid, g, k)
     assert len(built) == 4  # C_2, C_3, C_4 of one statistic: B_1..B_4 once
+
+
+def _full_grid_moment_matrices(kern, grid, g, powers):
+    """B_p = A_p / p! from g on every node of the grid at once, gathered
+    through a (P, 2n - 1, n) band of G_p[s, d]: the reference for
+    ``_moment_matrices``, which reads G ring block by ring block."""
+    n, r, lh = kern.n, grid.radial_nodes, kern.basis.log_norms
+    logv = np.arange(2 * n - 1) * np.log(r)[:, None] \
+        - kern.m * np.asarray(kern.potential.evaluate(r), dtype=float)[:, None]
+    c = logv.max(axis=0)
+    V = np.exp(logv - c) * grid.ring_weights[:, None]
+    if g.radial:
+        D, z = 1, r.astype(complex)
+    else:
+        D, z = n, grid.nodes
+    gv = np.asarray(np.real(g.value(z)), dtype=float).reshape(r.size, -1)
+    C = [np.fft.ifft(gv**p, axis=1)[:, np.arange(D) % gv.shape[1]] for p in powers]
+    G = V.T @ np.concatenate([x.real for x in C] + [x.imag for x in C], axis=1)
+    P = len(C)
+    band = np.zeros((P, 2 * n - 1, n), dtype=complex)
+    band[..., :D] = (G[:, :P * D] + 1j * G[:, P * D:]).reshape(-1, P, D).swapaxes(0, 1)
+    j = np.arange(n)
+    s, d = j[:, None] + j, j - j[:, None]
+    A = np.take(band.reshape(P, -1), (s * n + np.abs(d)).ravel(), axis=1).reshape(P, n, n)
+    np.conjugate(A, out=A, where=d < 0)
+    A *= np.exp(c[s] - 0.5 * (lh[:, None] + lh)) \
+        / np.array([math.factorial(p) for p in powers], dtype=float)[:, None, None]
+    return tuple(A)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("center", [0.3 + 0.2j, 0.0], ids=["off-centre", "radial"])
+def test_moment_matrices_match_full_grid_band(ginibre_pot, center, n):
+    # the series B_1, B_2, then B_3, B_4 through the kernel's memo: every
+    # entry equals the whole-grid band route's bit for bit
+    kern = weighted_kernel(ginibre_pot, float(n), n)
+    grid = default_grid(ginibre_pot, float(n), n)
+    g = bump(center, 0.4)
+    dpp_cumulant(kern, grid, g, 2)
+    dpp_cumulant(kern, grid, g, 4)
+    built = kern.memo["moments"][2]
+    want = _full_grid_moment_matrices(kern, grid, g, (1, 2)) \
+        + _full_grid_moment_matrices(kern, grid, g, (3, 4))
+    assert len(built) == len(want) == 4
+    assert all(np.array_equal(b, w) for b, w in zip(built, want))
+
+
+def test_general_cumulant_holds_no_grid_array(ginibre_pot):
+    # at n = 256 the grid has 400 x 1024 nodes; C_3 of an off-centre bump
+    # builds B_1..B_3 from blocks of at most 8192 of them, and what is left
+    # is G, (2n - 1) x 6n reals, and the B_p, 3 n^2 complex numbers
+    n = 256
+    grid = default_grid(ginibre_pot, float(n), n)
+    g = bump(0.3 + 0.2j, 0.4)
+    dpp_cumulant(weighted_kernel(ginibre_pot, float(n), n), grid, g, 3)  # warm the caches
+    kern = weighted_kernel(ginibre_pot, float(n), n)
+    assert peak_bytes(lambda: dpp_cumulant(kern, grid, g, 3)) < 20_000_000
 
 
 def test_moment_series_dies_with_its_kernel(ginibre_pot):

@@ -67,6 +67,21 @@ def test_ring_means_are_node_means(n_theta):
     assert grid.ring_means(fn, center=c).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n_theta", [64, 3000, 8192, 8193, 10_000])
+def test_ring_blocks_cover_every_ring_once(n_theta):
+    # consecutive slices in order, each with the grid's own nodes and at most
+    # _RING_BLOCK of them, or a single ring when n_theta exceeds that
+    grid = QuadratureGrid.disk(0.9, n_radial=50, n_theta=n_theta)
+    rings = np.arange(50)
+    seen = []
+    for block, z in grid.ring_blocks():
+        seen.extend(rings[block])
+        assert z.shape == (rings[block].size, n_theta)
+        assert z.size <= orthopoly._RING_BLOCK or z.shape[0] == 1
+        assert z.tobytes() == grid.nodes.reshape(50, n_theta)[block].tobytes()
+    assert seen == list(rings)
+
+
 # ---------------------------------------------------------------------------
 # radial norms
 

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -18,7 +17,7 @@ from rnmlab.statistics import (SupportError, boundary_statistics, bump,
                                mean_prediction, re_coordinate, tilting_check,
                                trace_statistic, variance_prediction)
 
-from conftest import tabulated_quartic
+from conftest import peak_bytes, tabulated_quartic
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +482,6 @@ def test_radial_shortcut_matches_block_path(field):
         assert np.allclose(fast, slow, rtol=1e-13, atol=1e-13 * np.max(np.abs(slow)))
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 _LOW_MEMORY = {
     "equilibrium_integral": lambda d: equilibrium_integral(bump(0.0, 0.5), d),
     "mean_prediction": lambda d: mean_prediction(bump(0.2 + 0.1j, 0.3), d),
@@ -516,4 +505,4 @@ def test_disk_integrals_hold_no_grid_array(case, ginibre_droplet):
     # hit) far below that
     run = _LOW_MEMORY[case]
     run(ginibre_droplet)  # warm the module caches (rules, kernels' norms)
-    assert _peak_bytes(lambda: run(ginibre_droplet)) < 2_000_000
+    assert peak_bytes(lambda: run(ginibre_droplet)) < 2_000_000
